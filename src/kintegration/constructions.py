@@ -22,8 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from collections import deque
-
+from . import metrics
 from .errors import (
     DisconnectedQuotientError,
     InvalidParamsError,
@@ -65,21 +64,7 @@ class QuotientGraph:
     @cached_property
     def diameter(self) -> int | None:
         """Exact diameter, or None when disconnected."""
-        worst = 0
-        for source in range(self.r):
-            dist = [-1] * self.r
-            dist[source] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if dist[v] == -1:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-            if -1 in dist:
-                return None
-            worst = max(worst, max(dist))
-        return worst
+        return metrics.diameter(self.adjacency)
 
     @property
     def is_connected(self) -> bool:

@@ -46,11 +46,21 @@ def parse_community_map(text: str) -> dict[str, str]:
     return mapping
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            data = exc.object
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                line, f"{os.fspath(path)} is not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
+            ) from None
+
+
 def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLike) -> CommunityGraph:
-    with open(edges_path, encoding="utf-8") as fh:
-        edges = parse_edge_list(fh.read())
-    with open(communities_path, encoding="utf-8") as fh:
-        communities = parse_community_map(fh.read())
+    edges = parse_edge_list(_read_text(edges_path))
+    communities = parse_community_map(_read_text(communities_path))
     return build_graph(edges, communities)
 
 

@@ -2,24 +2,26 @@
 
 A graph is k-integrated when every pair of nodes is joined by a path of
 length at most k, i.e. its diameter is at most k; the integration level
-k* is the diameter itself. All computations are exact BFS; internally,
-nodes with identical closed neighborhoods ("true twins", e.g. the
-interchangeable members of a complete community with the same bridge
-endpoints) are collapsed first, which keeps dense community graphs
-cheap without changing any distance.
+k* is the diameter itself. Nodes with identical closed neighborhoods
+("true twins", e.g. the interchangeable members of a complete community
+with the same bridge endpoints) are collapsed first, which keeps dense
+community graphs cheap without changing any distance.
 
-All operations are pure functions of an immutable graph, so per-source
-scans may run concurrently; results combine associatively (max for
-eccentricities, AND for verdicts) and the reported witness is always
-the one from the lowest-numbered violating source.
+All-pairs questions (k*, per-k verdicts, reach counts) are answered by
+one level-synchronous kernel: every class keeps its closed ball as an
+int bitset, and each round ORs in the balls of its neighbours, so round
+k holds exactly the classes within distance k. The rounds stop at
+closure, when one more round would change nothing. Two rounds of balls
+are alive at a time, about classes**2 / 8 bytes each. Single-source
+queries and witness distances use plain BFS. The reported witness is
+always the one from the lowest-numbered violating source.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import graph as graphmod
 from .errors import InvalidNodeError, InvalidParamsError
@@ -60,6 +62,11 @@ def _check_source(g: CommunityGraph, source: int) -> None:
         raise InvalidNodeError(source)
 
 
+def _check_bound(k: int) -> None:
+    if k < 0:
+        raise InvalidParamsError(f"integration bound must be >= 0, got {k}")
+
+
 def _bfs(adjacency: Sequence[Sequence[int]], source: int, depth_cap: int | None = None) -> list[int]:
     """Single-source BFS distances; UNREACHED marks nodes beyond reach or cap."""
     dist = [UNREACHED] * len(adjacency)
@@ -94,6 +101,42 @@ def eccentricity(g: CommunityGraph, source: int) -> int | None:
     return max(dist)
 
 
+def _ball_levels(adjacency: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Closed balls of every vertex as bitsets, for level 0, 1, ... up to closure.
+
+    Bit d of the c-th ball yielded at level k is set iff vertex d is
+    within distance k of vertex c. The last list yielded is the
+    closure: the next round would change no ball. Callers may stop
+    early; yielded lists are never mutated.
+    """
+    full = (1 << len(adjacency)) - 1
+    balls = [1 << c for c in range(len(adjacency))]
+    while True:
+        yield balls
+        grown = []
+        for ball, nbs in zip(balls, adjacency):
+            if ball != full:
+                for d in nbs:
+                    ball |= balls[d]
+            grown.append(ball)
+        if grown == balls:
+            return
+        balls = grown
+
+
+def _closure_diameter(level: int, balls: list[int]) -> int | None:
+    """Diameter from the closed balls reached at ``level``: None unless all are full."""
+    full = (1 << len(balls)) - 1
+    return level if all(ball == full for ball in balls) else None
+
+
+def diameter(adjacency: Sequence[Sequence[int]]) -> int | None:
+    """Exact diameter of a non-empty graph given as adjacency lists; None when disconnected."""
+    for level, balls in enumerate(_ball_levels(adjacency)):
+        pass
+    return _closure_diameter(level, balls)
+
+
 class _TwinQuotient:
     """Nodes grouped by closed neighborhood, plus the class-level graph.
 
@@ -120,111 +163,110 @@ class _TwinQuotient:
             nbs = {class_of[v] for v in g.adjacency[rep]}
             nbs.discard(ci)
             adjacency.append(tuple(sorted(nbs)))
+        # extra_masks[j] holds the classes whose extra members (size - 1)
+        # have bit j set, so a ball's node count is its bit count plus
+        # sum_j 2**j * |ball & extra_masks[j]|
+        multi = [(ci, len(members) - 1) for ci, members in enumerate(classes) if len(members) > 1]
+        width = max((extra for _, extra in multi), default=0).bit_length()
+        self.extra_masks = [sum(1 << ci for ci, extra in multi if extra >> j & 1) for j in range(width)]
+        self.node_count = g.node_count
         self.classes: list[list[int]] = classes
-        self.class_of: list[int] = class_of
         self.adjacency: list[tuple[int, ...]] = adjacency
 
-    @cached_property
-    def distance_rows(self) -> list[list[int]]:
-        return [_bfs(self.adjacency, ci) for ci in range(len(self.classes))]
+    def k_star(self, diameter: int | None) -> int | None:
+        """The integration level for a class-graph diameter: members of one class sit at distance 1."""
+        if diameter is not None and len(self.classes) < self.node_count:
+            return max(diameter, 1)
+        return diameter
+
+    def verdict(self, k: int, balls: list[int]) -> KVerdict:
+        """The k-verdict from the level-k balls.
+
+        Classes are ordered by min node id, so the first violating class
+        yields the lowest violating source overall. Its target is the
+        lowest unreachable node if any, else the lowest node at
+        distance > k.
+        """
+        full = (1 << len(balls)) - 1
+        for ci, ball in enumerate(balls):
+            members = self.classes[ci]
+            if ball != full or (k == 0 and len(members) > 1):
+                break
+        else:
+            return KVerdict(k=k, integrated=True)
+        dist = _bfs(self.adjacency, ci)
+        if UNREACHED in dist:
+            target, distance = self.classes[dist.index(UNREACHED)][0], None
+        else:
+            candidates: list[tuple[int, int]] = []
+            missing = full & ~ball
+            if missing:
+                cj = (missing & -missing).bit_length() - 1
+                candidates.append((self.classes[cj][0], dist[cj]))
+            if k == 0 and len(members) > 1:
+                candidates.append((members[1], 1))
+            target, distance = min(candidates)
+        return KVerdict(k=k, integrated=False, witness=(members[0], target), witness_distance=distance)
+
+    def reach_counts(self, k: int, balls: list[int]) -> tuple[int, ...]:
+        """Per node, how many nodes lie within distance k (itself included)."""
+        if k == 0:
+            return (1,) * self.node_count
+        counts = [0] * self.node_count
+        for members, ball in zip(self.classes, balls):
+            within = ball.bit_count()
+            for j, mask in enumerate(self.extra_masks):
+                within += (ball & mask).bit_count() << j
+            for u in members:
+                counts[u] = within
+        return tuple(counts)
 
 
 def integration_level(g: CommunityGraph) -> int | None:
     """The graph diameter (minimal k with the graph k-integrated); None if disconnected."""
     q = _TwinQuotient(g)
-    diam = 0
-    for ci, row in enumerate(q.distance_rows):
-        if UNREACHED in row:
-            return None
-        diam = max(diam, max(row))
-        if len(q.classes[ci]) > 1:
-            diam = max(diam, 1)
-    return diam
-
-
-def _class_violation(
-    q: _TwinQuotient, ci: int, k: int
-) -> tuple[int, int | None] | None:
-    """Lowest-id witness target for a violating source class, or None.
-
-    Returns (target_node, distance) with distance None for unreachable.
-    """
-    row = q.distance_rows[ci]
-    unreached = [cj for cj, d in enumerate(row) if d == UNREACHED]
-    if unreached:
-        return min(q.classes[cj][0] for cj in unreached), None
-    candidates: list[tuple[int, int]] = []
-    for cj, d in enumerate(row):
-        if cj != ci and d > k:
-            candidates.append((q.classes[cj][0], d))
-    if k < 1 and len(q.classes[ci]) > 1:
-        candidates.append((q.classes[ci][1], 1))
-    if not candidates:
-        return None
-    return min(candidates)
-
-
-def _verdict_for(q: _TwinQuotient, k: int) -> KVerdict:
-    # classes are ordered by min node id, so the first violating class
-    # yields the lowest violating source overall
-    for ci in range(len(q.classes)):
-        hit = _class_violation(q, ci, k)
-        if hit is not None:
-            target, distance = hit
-            source = q.classes[ci][0]
-            return KVerdict(k=k, integrated=False, witness=(source, target), witness_distance=distance)
-    return KVerdict(k=k, integrated=True)
+    return q.k_star(diameter(q.adjacency))
 
 
 def is_k_integrated(g: CommunityGraph, k: int) -> KVerdict:
     """Exact check of "every pair within distance k", with a witness on failure.
 
-    Sources are scanned in ascending node id and the scan stops at the
-    first violation; the witness is the lowest-id unreachable node if
-    any, else the lowest-id node at distance > k.
+    The witness source is the lowest-id violating node; its target is
+    the lowest-id unreachable node if any, else the lowest-id node at
+    distance > k.
     """
-    if k < 0:
-        raise InvalidParamsError(f"integration bound must be >= 0, got {k}")
-    return _verdict_for(_TwinQuotient(g), k)
-
-
-def _reach_counts(q: _TwinQuotient, node_count: int, k: int) -> tuple[int, ...]:
-    counts = [0] * node_count
-    sizes = [len(members) for members in q.classes]
-    for ci, row in enumerate(q.distance_rows):
-        within = 1  # self
-        if k >= 1:
-            within += sizes[ci] - 1
-        for cj, d in enumerate(row):
-            if cj != ci and d != UNREACHED and d <= k:
-                within += sizes[cj]
-        for u in q.classes[ci]:
-            counts[u] = within
-    return tuple(counts)
+    _check_bound(k)
+    q = _TwinQuotient(g)
+    for level, balls in enumerate(_ball_levels(q.adjacency)):
+        if level == k:
+            break
+    return q.verdict(k, balls)
 
 
 def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     """Aggregate B, C, k*, per-k verdicts and reach profile in one pass."""
     ks = list(ks)
     for k in ks:
-        if k < 0:
-            raise InvalidParamsError(f"integration bound must be >= 0, got {k}")
+        _check_bound(k)
+    wanted = set(ks)
     q = _TwinQuotient(g)
-    k_star: int | None = 0
-    for ci, row in enumerate(q.distance_rows):
-        if UNREACHED in row:
-            k_star = None
-            break
-        assert k_star is not None
-        k_star = max(k_star, max(row))
-        if len(q.classes[ci]) > 1:
-            k_star = max(k_star, 1)
+    verdicts: dict[int, KVerdict] = {}
+    reach: dict[int, tuple[int, ...]] = {}
+    for level, balls in enumerate(_ball_levels(q.adjacency)):
+        if level in wanted:
+            verdicts[level] = q.verdict(level, balls)
+            reach[level] = q.reach_counts(level, balls)
+    # levels past closure see the closed balls
+    for k in wanted:
+        if k > level:
+            verdicts[k] = q.verdict(k, balls)
+            reach[k] = q.reach_counts(k, balls)
     return IntegrationReport(
         r=g.community_count,
         node_count=g.node_count,
         bridge_count=len(graphmod.bridges(g)),
         central_count=len(graphmod.central_nodes(g)),
-        k_star=k_star,
-        per_k=tuple(_verdict_for(q, k) for k in ks),
-        reach_profile={k: _reach_counts(q, g.node_count, k) for k in ks},
+        k_star=q.k_star(_closure_diameter(level, balls)),
+        per_k=tuple(verdicts[k] for k in ks),
+        reach_profile={k: reach[k] for k in ks},
     )

@@ -138,6 +138,20 @@ def test_missing_file_exits_1(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_non_utf8_input_exits_1(capsys, tmp_path):
+    (tmp_path / "e.txt").write_bytes(b"a1 a2\nb1 \xffb2\n")
+    (tmp_path / "c.txt").write_text("a1 A\na2 A\nb1 B\nb2 B\n")
+    code, out, err = run(
+        capsys, ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt")]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 2: ")
+    assert str(tmp_path / "e.txt") in err
+    assert "UTF-8" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["analyze"]) == 1  # missing required flags
     capsys.readouterr()

@@ -103,19 +103,40 @@ def test_is_k_integrated_k0():
         is_k_integrated(pair, -1)
 
 
+def _random_islands(rng):
+    """Locally complete graph: members of a community not touched by a bridge are twins."""
+    r, n = rng.randint(1, 4), rng.randint(1, 4)
+    cross = [(u, v) for u in range(r * n) for v in range(u + 1, r * n) if u // n != v // n]
+    return islands(r, n, rng.sample(cross, rng.randint(0, min(len(cross), r + 1))))
+
+
+def _assert_witness(verdict, expected):
+    if expected is None:
+        assert verdict.integrated
+    else:
+        assert not verdict.integrated
+        assert (verdict.witness[0], verdict.witness[1], verdict.witness_distance) == expected
+
+
 def test_witness_matches_naive_rule_on_random_graphs():
     rng = random.Random(402)
-    for _ in range(60):
-        g = random_community_graph(rng, 18, connected=rng.random() < 0.7)
+    graphs = [random_community_graph(rng, 18, connected=rng.random() < 0.7) for _ in range(60)]
+    graphs += [islands(1, 1), islands(1, 3), islands(3, 2)]
+    graphs += [_random_islands(rng) for _ in range(40)]
+    for g in graphs:
         edges = list(g.edges)
-        for k in (1, 2, 3):
-            verdict = is_k_integrated(g, k)
+        rows = naive.relaxation_distances(g.node_count, edges)
+        ks = (0, 1, 2, 3, g.node_count)
+        report = build_report(g, ks)
+        assert report.k_star == naive.diameter(g.node_count, edges)
+        assert [v.k for v in report.per_k] == list(ks)
+        for k, row in zip(ks, report.per_k):
             expected = naive.violation_witness(g.node_count, edges, k)
-            if expected is None:
-                assert verdict.integrated
-            else:
-                assert not verdict.integrated
-                assert (verdict.witness[0], verdict.witness[1], verdict.witness_distance) == expected
+            _assert_witness(row, expected)
+            _assert_witness(is_k_integrated(g, k), expected)
+            assert report.reach_profile[k] == tuple(
+                sum(1 for d in dist if d is not None and d <= k) for dist in rows
+            )
 
 
 def test_build_report_sample(sample_graph):
