@@ -117,8 +117,9 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
 
 def _data_quality(g: graphmod.CommunityGraph) -> dict:
     isolated = [g.tokens[u] for u in range(g.node_count) if g.degree(u) == 0]
-    complete, missing = graphmod.is_locally_complete(g, max_witnesses=10)
-    missing_count = sum(s * (s - 1) // 2 for s in g.community_sizes) - len(graphmod.local_edges(g))
+    missing_count = sum(s * (s - 1) // 2 for s in g.community_sizes) - g.census.local_edge_count
+    # the pair scan only runs to name witnesses when the census says some are missing
+    complete, missing = graphmod.is_locally_complete(g, max_witnesses=10) if missing_count else (True, [])
     notes = []
     if isolated:
         notes.append(f"{len(isolated)} isolated node(s)")
@@ -156,8 +157,8 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         "graph": {
             "node_count": g.node_count,
             "community_count": g.community_count,
-            "edge_count": len(g.edges),
-            "local_edge_count": len(graphmod.local_edges(g)),
+            "edge_count": g.edge_count,
+            "local_edge_count": g.census.local_edge_count,
             "bridge_count": report.bridge_count,
             "central_node_count": report.central_count,
             "nodes": list(g.tokens),
@@ -222,11 +223,15 @@ def cmd_generate(
     cert = certificate_payload(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # every file is replaced atomically and the certificate goes last, so a
+    # certificate on disk always describes the edge list beside it
+    (out / "certificate.json").unlink(missing_ok=True)
     fileio.write_graph(g, out / "edges.txt", out / "communities.txt")
-    (out / "certificate.json").write_text(canonical_json(cert) + "\n", encoding="utf-8")
+    if dot:
+        fileio.write_text_atomic(out / "graph.dot", fileio.to_dot(g))
+    fileio.write_text_atomic(out / "certificate.json", canonical_json(cert) + "\n")
     files = ["edges.txt", "communities.txt", "certificate.json"]
     if dot:
-        (out / "graph.dot").write_text(fileio.to_dot(g), encoding="utf-8")
         files.append("graph.dot")
     return {
         "schema_version": SCHEMA_VERSION,

@@ -96,14 +96,16 @@ def cycle_quotient(r: int) -> QuotientGraph:
 
 # Fixed eight-community layouts giving small bridge counts at
 # intermediate integration levels, keyed by the level they target
-# (quotient diameter = level - 2). Reference patterns shipped as data:
-# known constructions, not certified minima.
+# (quotient diameter = level - 2). Keys 4..6 share an 8-cycle with
+# chords; 9 is a path, and 8 and 7 are trees made from it by moving its
+# end leaves inward. Reference patterns shipped as data: known
+# constructions, not certified minima.
 _FIGURE1_EDGES: dict[int, tuple[Edge, ...]] = {
     4: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3), (4, 7), (0, 6), (1, 7), (3, 4), (2, 5)),
     5: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3), (4, 7), (0, 6), (3, 4)),
     6: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3), (4, 7)),
-    7: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3), (4, 7)),
-    8: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3), (4, 7)),
+    7: ((0, 1), (5, 7), (0, 4), (3, 5), (0, 2), (5, 6), (1, 3)),
+    8: ((0, 1), (6, 7), (0, 4), (3, 5), (0, 2), (5, 6), (1, 3)),
     9: ((0, 1), (6, 7), (2, 4), (3, 5), (0, 2), (5, 6), (1, 3)),
 }
 
@@ -157,18 +159,18 @@ def _assemble(r: int, n: int, bridge_edges: list[Edge]) -> CommunityGraph:
     node_count = r * n
     width = len(str(node_count - 1)) if node_count > 1 else 1
     cwidth = len(str(r - 1)) if r > 1 else 1
-    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
-    for c in range(r):
-        base = c * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                neighbor_sets[base + i].add(base + j)
-                neighbor_sets[base + j].add(base + i)
+    bridged: dict[int, set[int]] = {}
     for u, v in bridge_edges:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+        bridged.setdefault(u, set()).add(v)
+        bridged.setdefault(v, set()).add(u)
+    adjacency: list[tuple[int, ...]] = []
+    for c in range(r):
+        block = tuple(range(c * n, (c + 1) * n))
+        for i, u in enumerate(block):
+            local = block[:i] + block[i + 1 :]
+            adjacency.append(tuple(sorted(bridged[u].union(local))) if u in bridged else local)
     return CommunityGraph(
-        adjacency=tuple(tuple(sorted(nb)) for nb in neighbor_sets),
+        adjacency=tuple(adjacency),
         community_of=tuple(u // n for u in range(node_count)),
         tokens=tuple(str(u).zfill(width) for u in range(node_count)),
         community_tokens=tuple(str(c).zfill(cwidth) for c in range(r)),

@@ -6,15 +6,31 @@ Community files hold one "node_token community_token" line per node.
 Canonical output sorts nodes by token and edges lexicographically by
 token pair, with LF line endings, so serialization round-trips
 bit-exactly.
+
+``load_graph`` reads both files and first tries one fused pass: it
+splits each edge line at its single space, maps both tokens to ids
+through the sorted node index and fills the neighbour lists in the same
+loop. That pass accepts only plain files (every line exactly
+"token token", LF endings, no comments or blank lines, no self-loops or
+unknown nodes) and gives up without raising on anything else. Then the
+line-numbered parsers and ``build_graph`` run as the only judges of the
+input, so every error message, line number and the order in which the
+two files' errors win are those of the parsers.
+
+``format_edge_list`` writes each node's edges to its higher neighbours
+as one joined block when the tokens already sort in id order (as in
+every generated construction), and sorts token pairs otherwise.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 import os
 from typing import Iterable
 
 from .errors import ParseError
-from .graph import CommunityGraph, build_graph
+from .graph import CommunityGraph, build_graph, intern_graph
 
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
@@ -58,9 +74,61 @@ def _read_text(path: str | os.PathLike) -> str:
             ) from None
 
 
+def _plain_lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _load_plain(edges_text: str, communities_text: str) -> CommunityGraph | None:
+    """The graph of two plain files in one pass, or None where the parsers must judge.
+
+    Node and community tokens come from lines that are exactly
+    "node community", so node keys are non-empty, hold no whitespace
+    (every line break the parsers know is whitespace) and do not start
+    with '#'. An edge line that is not exactly "key key" therefore
+    fails the index lookup: a comment, a blank line, a CR, any other
+    whitespace and a wrong token count all end in None.
+    """
+    rows = [line.split(" ") for line in _plain_lines(communities_text)]
+    if not rows or any(len(row) != 2 for row in rows):
+        return None
+    communities = dict(rows)
+    flat = [token for row in rows for token in row]
+    if len(communities) != len(rows) or communities_text.split() != flat:
+        return None
+    if any(node.startswith("#") for node in communities):
+        return None
+    node_keys = sorted(communities)
+    index = {key: u for u, key in enumerate(node_keys)}
+    neighbors: list[list[int]] = [[] for _ in node_keys]
+    try:
+        for line in _plain_lines(edges_text):
+            a, _, b = line.partition(" ")
+            u = index[a]
+            v = index[b]
+            if u == v:
+                return None
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+    except KeyError:
+        return None
+    return intern_graph(communities, node_keys, map(set, neighbors))
+
+
 def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLike) -> CommunityGraph:
-    edges = parse_edge_list(_read_text(edges_path))
-    communities = parse_community_map(_read_text(communities_path))
+    edges_text = _read_text(edges_path)
+    try:
+        communities_text = _read_text(communities_path)
+    except (OSError, ParseError):
+        parse_edge_list(edges_text)  # an edge-file error is reported first
+        raise
+    g = _load_plain(edges_text, communities_text)
+    if g is not None:
+        return g
+    edges = parse_edge_list(edges_text)
+    communities = parse_community_map(communities_text)
     return build_graph(edges, communities)
 
 
@@ -73,7 +141,19 @@ def _token_edges(g: CommunityGraph) -> list[tuple[str, str]]:
 
 
 def format_edge_list(g: CommunityGraph) -> str:
-    return "".join(f"{a} {b}\n" for a, b in _token_edges(g))
+    tokens = g.tokens
+    if not all(map(operator.lt, tokens, tokens[1:])):
+        return "".join(f"{a} {b}\n" for a, b in _token_edges(g))
+    # token order is id order, so the sorted token pairs are each node's
+    # higher neighbours in id order, node by node
+    blocks = []
+    for u, nbs in enumerate(g.adjacency):
+        nbs = sorted(nbs)
+        higher = nbs[bisect.bisect_right(nbs, u) :]
+        if higher:
+            head = tokens[u] + " "
+            blocks.append(head + ("\n" + head).join([tokens[v] for v in higher]) + "\n")
+    return "".join(blocks)
 
 
 def format_community_map(g: CommunityGraph) -> str:
@@ -83,13 +163,31 @@ def format_community_map(g: CommunityGraph) -> str:
     return "".join(f"{node} {community}\n" for node, community in lines)
 
 
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write UTF-8 text with LF endings to a temp file beside ``path``, then rename it over ``path``.
+
+    A failure leaves ``path`` as it was and removes the temp file.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_graph(
     g: CommunityGraph, edges_path: str | os.PathLike, communities_path: str | os.PathLike
 ) -> None:
-    with open(edges_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_edge_list(g))
-    with open(communities_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_community_map(g))
+    """Write the canonical edge list and community map, each file replaced atomically."""
+    write_text_atomic(edges_path, format_edge_list(g))
+    write_text_atomic(communities_path, format_community_map(g))
 
 
 def _dot_quote(token: str) -> str:

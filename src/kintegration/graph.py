@@ -4,6 +4,12 @@ The model is an "islands" network: nodes partitioned into communities,
 edges split into local edges (both endpoints in one community) and
 bridges (endpoints in different communities). A node is central when it
 is an endpoint of at least one bridge.
+
+Every graph computes its edge census (bridge list, central set and
+local-edge count) once, on first use, in one pass over the adjacency
+lists: per node, one C-level map counts the neighbours in its own
+community, and bridges are listed only at nodes where that count falls
+short of the degree. The edge tuple ``edges`` is built only when asked for.
 """
 
 from __future__ import annotations
@@ -11,13 +17,21 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCommunityMapError, SelfLoopError, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
 Edge = tuple[int, int]
+
+
+class EdgeCensus(NamedTuple):
+    """Bridges (u < v, in edge order), central nodes and the local-edge count of a graph."""
+
+    bridges: tuple[Edge, ...]
+    central: frozenset[int]
+    local_edge_count: int
 
 
 @dataclass(frozen=True)
@@ -66,7 +80,24 @@ class CommunityGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
+
+    @cached_property
+    def census(self) -> EdgeCensus:
+        """The edge census, from one pass over the adjacency lists."""
+        community_of = self.community_of
+        lookup = community_of.__getitem__
+        found: list[Edge] = []
+        central: list[int] = []
+        local_ends = 0
+        for u, nbs in enumerate(self.adjacency):
+            cu = community_of[u]
+            same = list(map(lookup, nbs)).count(cu)
+            local_ends += same
+            if same != len(nbs):
+                central.append(u)
+                found.extend((u, v) for v in nbs if u < v and community_of[v] != cu)
+        return EdgeCensus(tuple(found), frozenset(central), local_ends // 2)
 
     @cached_property
     def _adjacency_sets(self) -> tuple[frozenset[int], ...]:
@@ -101,9 +132,6 @@ def build_graph(
 
     node_keys = sorted(communities)
     node_index = {key: i for i, key in enumerate(node_keys)}
-    community_keys = sorted(set(communities.values()))
-    community_index = {key: i for i, key in enumerate(community_keys)}
-
     seen: set[Edge] = set()
     duplicates = 0
     for a, b in edges:
@@ -126,7 +154,17 @@ def build_graph(
     for u, v in seen:
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
+    return intern_graph(communities, node_keys, neighbor_sets)
 
+
+def intern_graph(
+    communities: Mapping[Hashable, Hashable],
+    node_keys: list,
+    neighbor_sets: Iterable[set[int]],
+) -> CommunityGraph:
+    """The graph of validated neighbour sets, indexed by position in ``node_keys`` (the sorted node keys)."""
+    community_keys = sorted(set(communities.values()))
+    community_index = {key: i for i, key in enumerate(community_keys)}
     return CommunityGraph(
         adjacency=tuple(tuple(sorted(nb)) for nb in neighbor_sets),
         community_of=tuple(community_index[communities[key]] for key in node_keys),
@@ -137,7 +175,7 @@ def build_graph(
 
 def bridges(g: CommunityGraph) -> list[Edge]:
     """Edges whose endpoints lie in different communities."""
-    return [(u, v) for u, v in g.edges if g.community_of[u] != g.community_of[v]]
+    return list(g.census.bridges)
 
 
 def local_edges(g: CommunityGraph) -> list[Edge]:
@@ -147,11 +185,7 @@ def local_edges(g: CommunityGraph) -> list[Edge]:
 
 def central_nodes(g: CommunityGraph) -> set[int]:
     """Endpoints of bridges."""
-    out: set[int] = set()
-    for u, v in bridges(g):
-        out.add(u)
-        out.add(v)
-    return out
+    return set(g.census.central)
 
 
 def is_locally_complete(

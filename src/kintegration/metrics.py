@@ -23,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import graph as graphmod
 from .errors import InvalidNodeError, InvalidParamsError
 from .graph import CommunityGraph, Edge
 
@@ -264,8 +263,8 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     return IntegrationReport(
         r=g.community_count,
         node_count=g.node_count,
-        bridge_count=len(graphmod.bridges(g)),
-        central_count=len(graphmod.central_nodes(g)),
+        bridge_count=len(g.census.bridges),
+        central_count=len(g.census.central),
         k_star=q.k_star(_closure_diameter(level, balls)),
         per_k=tuple(verdicts[k] for k in ks),
         reach_profile={k: reach[k] for k in ks},

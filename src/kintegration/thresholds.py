@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import graph as graphmod
 from .errors import InvalidParamsError, ModelViolationError
 from .graph import CommunityGraph
 
@@ -107,9 +106,15 @@ class ThresholdRow:
     centrals: int
 
 
+# every row from k = r+1 on repeats the last one, so a longer table adds nothing
+MAX_KMAX = 10_000
+
+
 def threshold_rows(r: int, n: int, kmax: int) -> list[ThresholdRow]:
-    """The table of (B_k, C_k) for k = 1..kmax."""
+    """The table of (B_k, C_k) for k = 1..kmax, with kmax at most MAX_KMAX."""
     _validate(r, n, kmax)
+    if kmax > MAX_KMAX:
+        raise InvalidParamsError(f"kmax must be <= {MAX_KMAX}, got {kmax}")
     return [ThresholdRow(k, bridge_threshold(r, n, k), central_threshold(r, n, k)) for k in range(1, kmax + 1)]
 
 
@@ -137,8 +142,8 @@ def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
     n = g.community_sizes[0]
     b_bound = bridge_threshold(r, n, k)
     c_required = central_threshold(r, n, k)
-    b = len(graphmod.bridges(g))
-    c = len(graphmod.central_nodes(g))
+    b = len(g.census.bridges)
+    c = len(g.census.central)
     if b < b_bound.lower:
         return SegregationVerdict(
             True, f"bridge count {b} is below the k={k} requirement {b_bound.lower}"

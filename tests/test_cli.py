@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from kintegration import Bound, OracleVerdict, RowCheck, cli
+from kintegration import Bound, OracleVerdict, RowCheck, cli, fileio
 from kintegration.cli import AnalysisConfig, canonical_json, cmd_analyze, main
 from kintegration.errors import InvalidParamsError
+from kintegration.thresholds import MAX_KMAX
 
 SAMPLE = ["--edges", "tests/data/sample_edges.txt", "--communities", "tests/data/sample_communities.txt"]
 
@@ -240,6 +241,43 @@ def test_generate_round_trip(capsys, tmp_path):
     assert canonical_json(payload["certificate"]) + "\n" == cert_file
 
 
+def test_generate_failed_write_leaves_no_certificate(capsys, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    argv = ["generate", "--family", "two-star", "-r", "3", "-n", "3", "--out", str(out_dir)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    stale = (out_dir / "certificate.json").read_bytes()
+    assert stale
+
+    def failing_format(g):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "format_edge_list", failing_format)
+    code, out, err = run(capsys, ["generate", "--family", "two-star", "-r", "4", "-n", "4", "--out", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: disk full\n"
+    assert not (out_dir / "certificate.json").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["communities.txt", "edges.txt"]
+    # the earlier files are untouched, not half written
+    assert len((out_dir / "edges.txt").read_text().splitlines()) == 3 * 3 + 6
+
+    real_replace = fileio.os.replace
+    monkeypatch.undo()
+
+    def failing_replace(src, dst):
+        if str(dst).endswith("communities.txt"):
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "replace", failing_replace)
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err == "error: rename failed\n"
+    assert not (out_dir / "certificate.json").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["communities.txt", "edges.txt"]
+
+
 def test_generate_rejects_bad_quotient(capsys):
     assert main(["generate", "--family", "extended-star", "-r", "5", "-n", "5", "--quotient", "figure1:4", "--out", "/tmp/x"]) == 1
     capsys.readouterr()
@@ -247,6 +285,13 @@ def test_generate_rejects_bad_quotient(capsys):
     capsys.readouterr()
     assert main(["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "figure1:x", "--out", "/tmp/x"]) == 1
     capsys.readouterr()
+
+
+def test_thresholds_kmax_is_bounded(capsys):
+    code, out, err = run(capsys, ["thresholds", "-r", "2", "-n", "2", "--kmax", str(MAX_KMAX + 1)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: kmax must be <= {MAX_KMAX}, got {MAX_KMAX + 1}\n"
 
 
 def test_thresholds_model_violation_exits_1(capsys):

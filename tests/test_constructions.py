@@ -47,11 +47,10 @@ def test_cycle_needs_three_communities():
 
 
 def test_figure1_quotients():
-    diameters = {4: 2, 5: 3, 6: 4, 7: 4, 8: 4, 9: 7}
-    for level, expected in diameters.items():
+    for level in range(4, 10):
         q = figure1_quotient(level)
         assert q.r == 8
-        assert q.diameter == expected
+        assert q.diameter == level - 2
     assert len(figure1_quotient(9).edges) == 7
     assert len(figure1_quotient(4).edges) == 12
     with pytest.raises(InvalidParamsError):
@@ -132,7 +131,7 @@ def test_tokens_are_zero_padded_in_layout_order():
 
 
 def test_figure1_extended_star_levels():
-    for level in (4, 5, 6, 9):
+    for level in range(4, 10):
         built = extended_star(8, 2, figure1_quotient(level))
         assert built.claimed_k == level
         assert integration_level(built.graph) == level

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kintegration import (
+    KIntegrationError,
     ParseError,
     build_graph,
     load_graph,
@@ -85,3 +91,146 @@ def test_dot_quotes_awkward_tokens():
     dot = to_dot(g)
     assert '"he\\"llo"' in dot
     assert '"wo rld"' in dot
+
+
+def _token_pair_reference(g):
+    """Canonical edge list by definition: token pairs, each ordered, all sorted."""
+    pairs = sorted(tuple(sorted((g.tokens[u], g.tokens[v]))) for u, v in g.edges)
+    return "".join(f"{a} {b}\n" for a, b in pairs)
+
+
+def test_format_edge_list_same_on_sorted_and_unsorted_tokens():
+    edges = [(9, 10), (10, 2), (2, 9), (100, 9), (3, 100), (10, 3)]
+    communities = {2: "a", 3: "b", 9: "a", 10: "b", 100: "a"}
+    by_int = build_graph(edges, communities)
+    assert by_int.tokens == ("2", "3", "9", "10", "100")  # "9" > "10": not in id order
+    by_str = build_graph(
+        [(str(a), str(b)) for a, b in edges], {str(k): c for k, c in communities.items()}
+    )
+    assert by_str.tokens == tuple(sorted(by_str.tokens))
+    expected = "10 2\n10 3\n10 9\n100 3\n100 9\n2 9\n"
+    assert format_edge_list(by_int) == expected
+    assert format_edge_list(by_str) == expected
+    assert _token_pair_reference(by_int) == _token_pair_reference(by_str) == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_format_edge_list_matches_token_pair_definition(data):
+    count = data.draw(st.integers(min_value=1, max_value=14))
+    keys = data.draw(st.lists(st.integers(min_value=0, max_value=40), min_size=count, max_size=count, unique=True))
+    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    for as_text in (False, True):
+        key = str if as_text else int
+        g = build_graph(
+            [(key(a), key(b)) for a, b in edges], {key(k): k % 3 for k in keys}
+        )
+        assert format_edge_list(g) == _token_pair_reference(g)
+
+
+# Loader equivalence: load_graph (one fused pass with a fallback) against the
+# line-numbered parsers followed by build_graph, on texts with every kind of
+# irregularity the parsers know about.
+_NODES = ["a", "b", "c", "d", "9", "10", "#x", "x#"]
+_GAPS = [" ", " ", " ", "  ", "\t", "\x0b", "\x0c", "\x85", "\u2028", "\xa0"]
+_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028", "\x1c"]
+
+
+@st.composite
+def _line(draw, first, second):
+    kind = draw(st.sampled_from(["pair"] * 8 + ["comment", "blank", "one", "three", "padded"]))
+    gap = draw(st.sampled_from(_GAPS))
+    a, b = draw(first), draw(second)
+    if kind == "pair":
+        return f"{a}{gap}{b}"
+    if kind == "comment":
+        return f"# {a} {b}"
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "one":
+        return a
+    if kind == "three":
+        return f"{a} {b} {draw(first)}"
+    lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\x0c"]))
+    return f"{lead}{a} {b}{trail}"
+
+
+@st.composite
+def _text(draw, first, second, max_lines):
+    lines = draw(st.lists(_line(first, second), max_size=max_lines))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(_BREAKS))
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no final line break
+    return text
+
+
+def _plain_text(rows):
+    return "".join(f"{a} {b}\n" for a, b in rows)
+
+
+@st.composite
+def _nearly(draw, text):
+    """``text`` itself, or with one character inserted or one line repeated."""
+    edit = draw(st.sampled_from(["none", "none", "insert", "repeat"]))
+    if edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(["#", *_GAPS, *_BREAKS])) + text[at:]
+    lines = text.splitlines(keepends=True)
+    if edit == "repeat" and lines:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return "".join(lines)
+
+
+@st.composite
+def _file_pair(draw):
+    plain = draw(st.integers(0, 2)) > 0
+    pool = [node for node in _NODES if node != "#x"] if plain and draw(st.integers(0, 3)) else _NODES
+    nodes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    known = st.sampled_from(nodes)
+    anything = st.one_of(known, st.sampled_from(_NODES + ["zz"]))
+    communities = st.sampled_from(["A", "B", "#C", "9"])
+    if plain:
+        # plain files, where the fused pass should mostly succeed
+        pair = st.tuples(known, known)
+        if len(nodes) > 1 and draw(st.integers(0, 3)):
+            pair = pair.filter(lambda p: p[0] != p[1])
+        edge_rows = draw(st.lists(pair, max_size=12))
+        community_rows = [(node, draw(communities)) for node in nodes]
+        return draw(_nearly(_plain_text(edge_rows))), draw(_nearly(_plain_text(community_rows)))
+    return draw(_text(anything, anything, 12)), draw(_text(anything, communities, 8))
+
+
+def _outcome(load):
+    try:
+        return load()
+    except KIntegrationError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+@given(_file_pair())
+@settings(max_examples=400, deadline=None)
+def test_load_graph_matches_line_numbered_parsers(files):
+    edges_text, communities_text = files
+    with tempfile.TemporaryDirectory() as tmp:
+        ep, cp = Path(tmp) / "e.txt", Path(tmp) / "c.txt"
+        ep.write_bytes(edges_text.encode("utf-8"))
+        cp.write_bytes(communities_text.encode("utf-8"))
+        # the parsers see the text as read from disk (universal newlines)
+        read_edges, read_communities = ep.read_text(encoding="utf-8"), cp.read_text(encoding="utf-8")
+        expected = _outcome(
+            lambda: build_graph(parse_edge_list(read_edges), parse_community_map(read_communities))
+        )
+        assert _outcome(lambda: load_graph(ep, cp)) == expected
+
+
+def test_load_graph_reports_edge_error_before_missing_community_file(tmp_path):
+    (tmp_path / "e.txt").write_text("a b\nc\n")
+    with pytest.raises(ParseError) as err:
+        load_graph(tmp_path / "e.txt", tmp_path / "missing.txt")
+    assert err.value.line_number == 2
+    (tmp_path / "e.txt").write_text("a b\n")
+    with pytest.raises(FileNotFoundError):
+        load_graph(tmp_path / "e.txt", tmp_path / "missing.txt")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kintegration import (
@@ -12,7 +14,7 @@ from kintegration import (
     localize_complete,
 )
 
-from helpers import islands, remove_edge
+from helpers import islands, random_community_graph, remove_edge
 
 
 def test_build_graph_interns_in_sorted_key_order():
@@ -109,3 +111,47 @@ def test_localize_complete_restores_missing_edges(sample_graph):
 def test_localize_complete_idempotent(sample_graph):
     once = localize_complete(sample_graph)
     assert localize_complete(once).edges == once.edges
+
+
+def _census_by_definition(g):
+    """Bridges, centrals and local-edge count filtered from the full edge tuple."""
+    cross = [(u, v) for u, v in g.edges if g.community_of[u] != g.community_of[v]]
+    local = [(u, v) for u, v in g.edges if g.community_of[u] == g.community_of[v]]
+    return cross, {x for edge in cross for x in edge}, len(local)
+
+
+def _census_cases():
+    rng = random.Random(7)
+    for _ in range(60):
+        yield random_community_graph(rng, 14, connected=rng.random() < 0.5)
+    yield build_graph([], {"a": "c1", "b": "c2", "c": "c2"})  # no edges at all
+    yield build_graph([("a", "b")], {"a": 0, "b": 0, "z": 0})  # one community, an isolated node
+    yield islands(4, 3)  # several communities, zero bridges
+    yield islands(3, 3, [(0, 3), (0, 6), (4, 8)])
+    yield build_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0, 3: 1})  # isolated node beside bridges
+
+
+def test_census_matches_edge_filter_definitions():
+    for g in _census_cases():
+        cross, centrals, local_count = _census_by_definition(g)
+        assert bridges(g) == cross
+        assert central_nodes(g) == centrals
+        assert g.census.bridges == tuple(cross)
+        assert g.census.central == centrals
+        assert g.census.local_edge_count == local_count == len(local_edges(g))
+        assert g.edge_count == len(g.edges)
+
+
+def test_census_results_are_fresh_containers(sample_graph):
+    g = sample_graph
+    before_bridges, before_centrals = bridges(g), central_nodes(g)
+    listed = bridges(g)
+    listed.append((0, 1))
+    listed.clear()
+    found = central_nodes(g)
+    found.add(0)
+    found.discard(before_bridges[0][0])
+    assert bridges(g) == before_bridges
+    assert central_nodes(g) == before_centrals
+    assert bridges(g) is not bridges(g)
+    assert central_nodes(g) is not central_nodes(g)
