@@ -223,8 +223,9 @@ def cmd_generate(
     cert = certificate_payload(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # every file is replaced atomically and the certificate goes last, so a
-    # certificate on disk always describes the edge list beside it
+    # every file is replaced atomically and the certificate goes last, so if
+    # this process fails or is killed, a certificate on disk describes the
+    # edge list beside it (nothing is fsynced: a power loss can still break this)
     (out / "certificate.json").unlink(missing_ok=True)
     fileio.write_graph(g, out / "edges.txt", out / "communities.txt")
     if dot:

@@ -7,15 +7,18 @@ Canonical output sorts nodes by token and edges lexicographically by
 token pair, with LF line endings, so serialization round-trips
 bit-exactly.
 
-``load_graph`` reads both files and first tries one fused pass: it
-splits each edge line at its single space, maps both tokens to ids
-through the sorted node index and fills the neighbour lists in the same
-loop. That pass accepts only plain files (every line exactly
-"token token", LF endings, no comments or blank lines, no self-loops or
-unknown nodes) and gives up without raising on anything else. Then the
-line-numbered parsers and ``build_graph`` run as the only judges of the
-input, so every error message, line number and the order in which the
-two files' errors win are those of the parsers.
+``load_graph`` reads both files, with line endings normalised to LF
+on read, so CRLF files load like LF ones. It parses the community file
+with ``parse_community_map`` and then tries one fused pass over the
+edge file: it splits each edge line at its single space, maps both
+tokens to ids through the sorted node index and fills the neighbour
+lists in the same loop. That pass accepts only a plain edge file (every
+line exactly "token token", no comments or blank lines, no self-loops or
+unknown nodes) and gives up without raising on anything else, including
+any community-file error. Then the line-numbered parsers and
+``build_graph`` run as the only judges of the input, so every error
+message, line number and the order in which the two files' errors win
+are those of the parsers.
 
 ``format_edge_list`` writes each node's edges to its higher neighbours
 as one joined block when the tokens already sort in id order (as in
@@ -30,7 +33,7 @@ import os
 from typing import Iterable
 
 from .errors import ParseError
-from .graph import CommunityGraph, build_graph, intern_graph
+from .graph import CommunityGraph, build_graph, intern_graph, log
 
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
@@ -74,37 +77,31 @@ def _read_text(path: str | os.PathLike) -> str:
             ) from None
 
 
-def _plain_lines(text: str) -> list[str]:
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def _load_plain(edges_text: str, communities_text: str) -> CommunityGraph | None:
-    """The graph of two plain files in one pass, or None where the parsers must judge.
+    """The graph of a plain edge file in one pass, or None where the parsers must judge.
 
-    Node and community tokens come from lines that are exactly
-    "node community", so node keys are non-empty, hold no whitespace
-    (every line break the parsers know is whitespace) and do not start
-    with '#'. An edge line that is not exactly "key key" therefore
-    fails the index lookup: a comment, a blank line, a CR, any other
-    whitespace and a wrong token count all end in None.
+    The community map comes from ``parse_community_map``, so its node
+    keys are non-empty, hold no whitespace (every line break the parsers
+    know is whitespace) and do not start with '#'. An edge line that is
+    not exactly "key key" therefore fails the index lookup: a comment, a
+    blank line, any other whitespace and a wrong token count all end in
+    None. A community-file error ends in None too, so that the parsers
+    report an edge-file error first.
     """
-    rows = [line.split(" ") for line in _plain_lines(communities_text)]
-    if not rows or any(len(row) != 2 for row in rows):
+    try:
+        communities = parse_community_map(communities_text)
+    except ParseError:
         return None
-    communities = dict(rows)
-    flat = [token for row in rows for token in row]
-    if len(communities) != len(rows) or communities_text.split() != flat:
-        return None
-    if any(node.startswith("#") for node in communities):
+    if not communities:
         return None
     node_keys = sorted(communities)
     index = {key: u for u, key in enumerate(node_keys)}
     neighbors: list[list[int]] = [[] for _ in node_keys]
+    lines = edges_text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     try:
-        for line in _plain_lines(edges_text):
+        for line in lines:
             a, _, b = line.partition(" ")
             u = index[a]
             v = index[b]
@@ -114,7 +111,11 @@ def _load_plain(edges_text: str, communities_text: str) -> CommunityGraph | None
             neighbors[v].append(u)
     except KeyError:
         return None
-    return intern_graph(communities, node_keys, map(set, neighbors))
+    g = intern_graph(communities, node_keys, map(set, neighbors))
+    duplicates = len(lines) - g.edge_count
+    if duplicates:
+        log.debug("collapsed %d duplicate edge listings", duplicates)
+    return g
 
 
 def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLike) -> CommunityGraph:
@@ -166,7 +167,9 @@ def format_community_map(g: CommunityGraph) -> str:
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write UTF-8 text with LF endings to a temp file beside ``path``, then rename it over ``path``.
 
-    A failure leaves ``path`` as it was and removes the temp file.
+    A failure leaves ``path`` as it was and removes the temp file. Nothing
+    is fsynced, so the rename is atomic for other processes, not across a
+    power loss.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"

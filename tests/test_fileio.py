@@ -1,3 +1,4 @@
+import logging
 import tempfile
 from pathlib import Path
 
@@ -234,3 +235,14 @@ def test_load_graph_reports_edge_error_before_missing_community_file(tmp_path):
     (tmp_path / "e.txt").write_text("a b\n")
     with pytest.raises(FileNotFoundError):
         load_graph(tmp_path / "e.txt", tmp_path / "missing.txt")
+
+
+def test_load_graph_logs_collapsed_duplicates_on_both_paths(tmp_path, caplog):
+    (tmp_path / "c.txt").write_text("a A\nb A\nc B\n")
+    for edges in ("a b\nb a\nb c\na b\n", "# comment\na b\nb a\nb c\na b\n"):
+        (tmp_path / "e.txt").write_text(edges)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kintegration.graph"):
+            g = load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+        assert g.edge_count == 2
+        assert [r.getMessage() for r in caplog.records] == ["collapsed 2 duplicate edge listings"]
