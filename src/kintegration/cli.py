@@ -28,7 +28,7 @@ from pathlib import Path
 from . import constructions, fileio, oracle, thresholds
 from . import graph as graphmod
 from . import metrics
-from .errors import InvalidParamsError, KIntegrationError, ModelViolationError
+from .errors import InvalidParamsError, KIntegrationError, ModelViolationError, require_int
 
 SCHEMA_VERSION = 1
 
@@ -64,19 +64,9 @@ class AnalysisConfig:
         if not self.ks:
             raise InvalidParamsError("need at least one integration level to check")
         for k in self.ks:
-            if not isinstance(k, int) or k < 1:
-                raise InvalidParamsError(f"levels must be integers >= 1, got {k!r}")
+            require_int("k", k, 1)
         if self.fmt not in {"json", "csv", "text"}:
             raise InvalidParamsError(f"unknown output format {self.fmt!r}")
-
-
-def _model_shape(g: graphmod.CommunityGraph) -> tuple[int, int] | None:
-    """(r, n) when every community has the same size n and n >= r, else None."""
-    sizes = set(g.community_sizes)
-    if len(sizes) != 1:
-        return None
-    n = sizes.pop()
-    return (g.community_count, n) if n >= g.community_count else None
 
 
 def _verdict_row(g: graphmod.CommunityGraph, verdict: metrics.KVerdict) -> dict:
@@ -92,6 +82,10 @@ def _verdict_row(g: graphmod.CommunityGraph, verdict: metrics.KVerdict) -> dict:
     return row
 
 
+def _bound_row(bound: thresholds.Bound) -> dict:
+    return {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact}
+
+
 def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None, ks) -> dict | None:
     if shape is None:
         return None
@@ -103,7 +97,7 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
         rows.append(
             {
                 "k": k,
-                "bridges_required": {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact},
+                "bridges_required": _bound_row(bound),
                 "centrals_required": thresholds.central_threshold(r, n, k),
                 "provably_segregated": verdict.provably_segregated,
                 "reason": verdict.reason,
@@ -139,14 +133,12 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
     g = fileio.load_graph(config.edges_path, config.communities_path)
     if config.localize:
         g = graphmod.localize_complete(g)
-    shape = _model_shape(g)
-    if config.strict_model and shape is None:
-        sizes = sorted(set(g.community_sizes))
-        if len(sizes) > 1:
-            raise ModelViolationError(f"community sizes differ: {sizes}")
-        raise ModelViolationError(
-            f"community size {sizes[0]} is below the community count {g.community_count}"
-        )
+    try:
+        shape = thresholds.model_shape(g)
+    except ModelViolationError:
+        if config.strict_model:
+            raise
+        shape = None
     report = metrics.build_report(g, config.ks)
     quality = _data_quality(g)
     if shape is None:
@@ -269,7 +261,7 @@ def cmd_certify(
             rows.append(
                 {
                     "k": k,
-                    "bound": {"lower": rc.bound.lower, "upper": rc.bound.upper, "exact": rc.bound.exact},
+                    "bound": _bound_row(rc.bound),
                     "centrals_required": rc.centrals_required,
                     "min_bridges": rc.verdict.min_bridges,
                     "certified": rc.verdict.certified,
@@ -292,7 +284,7 @@ def cmd_certify(
             rows.append(
                 {
                     "k": k,
-                    "bound": {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact},
+                    "bound": _bound_row(bound),
                     "centrals_required": thresholds.central_threshold(r, n, k),
                     "upper_bound": rb.upper_bound,
                     "witness": [list(e) for e in rb.witness],
@@ -328,7 +320,7 @@ def cmd_thresholds(r: int, n: int, kmax: int) -> dict:
         "rows": [
             {
                 "k": row.k,
-                "bridges": {"lower": row.bridges.lower, "upper": row.bridges.upper, "exact": row.bridges.exact},
+                "bridges": _bound_row(row.bridges),
                 "centrals": row.centrals,
             }
             for row in rows
@@ -440,28 +432,17 @@ def render_certify(payload: dict, fmt: str) -> str:
         return _json_dump(payload)
     if fmt == "csv":
         if payload["mode"] == "exhaustive":
-            header = [
-                "k", "bound_lower", "bound_upper", "bound_exact", "centrals_required",
-                "min_bridges", "certified", "sets_examined", "witness_centrals", "agrees",
-            ]
-            rows = [
-                [
-                    row["k"], row["bound"]["lower"], row["bound"]["upper"], _cell(row["bound"]["exact"]),
-                    row["centrals_required"], _cell(row["min_bridges"]), _cell(row["certified"]),
-                    row["sets_examined"], _cell(row["witness_centrals"]), _cell(row["agrees"]),
-                ]
-                for row in payload["rows"]
-            ]
+            tail = ["min_bridges", "certified", "sets_examined", "witness_centrals", "agrees"]
         else:
-            header = ["k", "bound_lower", "bound_upper", "bound_exact", "centrals_required", "upper_bound", "agrees"]
-            rows = [
-                [
-                    row["k"], row["bound"]["lower"], row["bound"]["upper"], _cell(row["bound"]["exact"]),
-                    row["centrals_required"], row["upper_bound"], _cell(row["agrees"]),
-                ]
-                for row in payload["rows"]
+            tail = ["upper_bound", "agrees"]
+        rows = [
+            [
+                row["k"], row["bound"]["lower"], row["bound"]["upper"], _cell(row["bound"]["exact"]),
+                row["centrals_required"], *(_cell(row[name]) for name in tail),
             ]
-        return _csv_dump(header, rows)
+            for row in payload["rows"]
+        ]
+        return _csv_dump(["k", "bound_lower", "bound_upper", "bound_exact", "centrals_required", *tail], rows)
     lines = [f"r={payload['r']} n={payload['n']} mode={payload['mode']}"]
     for row in payload["rows"]:
         req = _fmt_requirement(row["bound"])
@@ -587,8 +568,6 @@ def _run_certify(args: argparse.Namespace) -> int:
 
 
 def _run_thresholds(args: argparse.Namespace) -> int:
-    if args.kmax < 1:
-        raise InvalidParamsError(f"kmax must be >= 1, got {args.kmax}")
     print(render_thresholds(cmd_thresholds(args.r, args.n, args.kmax), args.format))
     return 0
 

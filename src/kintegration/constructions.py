@@ -21,12 +21,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from . import metrics
 from .errors import (
     DisconnectedQuotientError,
     InvalidParamsError,
     UnsupportedCommunityCountError,
+    require_int,
 )
 from .graph import CommunityGraph, Edge
 
@@ -39,8 +41,7 @@ class QuotientGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise InvalidParamsError(f"quotient needs r >= 1, got {self.r}")
+        require_int("r", self.r, 1)
         seen: set[Edge] = set()
         for u, v in self.edges:
             if u == v:
@@ -72,25 +73,23 @@ class QuotientGraph:
 
 
 def complete_quotient(r: int) -> QuotientGraph:
-    _check_r(r)
+    require_int("r", r, 1)
     return QuotientGraph(r, tuple(itertools.combinations(range(r), 2)))
 
 
 def star_quotient(r: int) -> QuotientGraph:
     """Community 0 as the quotient hub."""
-    _check_r(r)
+    require_int("r", r, 1)
     return QuotientGraph(r, tuple((0, c) for c in range(1, r)))
 
 
 def path_quotient(r: int) -> QuotientGraph:
-    _check_r(r)
+    require_int("r", r, 1)
     return QuotientGraph(r, tuple((c, c + 1) for c in range(r - 1)))
 
 
 def cycle_quotient(r: int) -> QuotientGraph:
-    _check_r(r)
-    if r < 3:
-        raise InvalidParamsError(f"a simple cycle needs r >= 3, got {r}")
+    require_int("r", r, 3)
     return QuotientGraph(r, tuple((c, c + 1) for c in range(r - 1)) + ((0, r - 1),))
 
 
@@ -139,18 +138,18 @@ class Construction:
     quotient: QuotientGraph | None = None
 
 
-def _check_r(r: int) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParamsError(f"community count must be an integer >= 1, got {r}")
+# generate holds the network whole, up to ~230 B an edge (complete join): ~2.3 GB at the limit
+MAX_EDGES = 10_000_000
 
 
-def _check_rn(r: int, n: int) -> None:
-    _check_r(r)
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParamsError(f"community size must be an integer >= 1, got {n}")
+def _check_size(r: int, n: int, bridge_count: int) -> None:
+    """Refuse, in closed form and before any edge is built, a network over MAX_EDGES."""
+    edges = r * n * (n - 1) // 2 + bridge_count
+    if edges > MAX_EDGES:
+        raise InvalidParamsError(f"r={r}, n={n} needs {edges} edges, more than the limit of {MAX_EDGES}")
 
 
-def _assemble(r: int, n: int, bridge_edges: list[Edge]) -> CommunityGraph:
+def _assemble(r: int, n: int, bridge_edges: Iterable[Edge]) -> CommunityGraph:
     """Locally complete graph on r communities of n nodes plus the given bridges.
 
     Node id = community*n + slot; tokens are zero-padded so token order
@@ -179,31 +178,37 @@ def _assemble(r: int, n: int, bridge_edges: list[Edge]) -> CommunityGraph:
 
 def complete_join(r: int, n: int) -> Construction:
     """Every cross-community pair bridged; 1-integrated."""
-    _check_rn(r, n)
-    bridge_edges = [
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    b = n * n * r * (r - 1) // 2
+    _check_size(r, n, b)
+    bridge_edges = (
         (ci * n + i, cj * n + j)
         for ci, cj in itertools.combinations(range(r), 2)
         for i in range(n)
         for j in range(n)
-    ]
+    )
     return Construction(
         graph=_assemble(r, n, bridge_edges),
         family="complete-join",
         claimed_k=1,
-        claimed_b=n * n * r * (r - 1) // 2,
+        claimed_b=b,
         claimed_c=r * n if r > 1 else 0,
     )
 
 
 def two_star(r: int, n: int) -> Construction:
     """One hub (lowest id of community 0) bridged to every outside node; 2-integrated."""
-    _check_rn(r, n)
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    b = (r - 1) * n
+    _check_size(r, n, b)
     bridge_edges = [(0, v) for v in range(n, r * n)]
     return Construction(
         graph=_assemble(r, n, bridge_edges),
         family="two-star",
         claimed_k=2,
-        claimed_b=(r - 1) * n,
+        claimed_b=b,
         claimed_c=(r - 1) * n + 1 if r > 1 else 0,
     )
 
@@ -214,12 +219,14 @@ def extended_star(r: int, n: int, quotient: QuotientGraph) -> Construction:
     (d+2)-integrated for quotient diameter d when n >= 2; with n = 1
     the network degenerates to the quotient itself and is d-integrated.
     """
-    _check_rn(r, n)
+    require_int("r", r, 1)
+    require_int("n", n, 1)
     if quotient.r != r:
         raise InvalidParamsError(f"quotient has {quotient.r} vertices, expected {r}")
     d = quotient.diameter
     if d is None:
         raise DisconnectedQuotientError("extended star needs a connected quotient")
+    _check_size(r, n, len(quotient.edges))
     bridge_edges = [(i * n, j * n) for i, j in quotient.edges]
     return Construction(
         graph=_assemble(r, n, bridge_edges),

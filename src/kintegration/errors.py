@@ -34,6 +34,16 @@ class InvalidParamsError(KIntegrationError):
     pass
 
 
+def require_int(name: str, value: object, minimum: int, maximum: int | None = None) -> None:
+    """Raise InvalidParamsError unless ``value`` is an integer in [minimum, maximum]."""
+    if not isinstance(value, int):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParamsError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidParamsError(f"{name} must be <= {maximum}, got {value}")
+
+
 class ModelViolationError(KIntegrationError):
     """The equal-size islands model (all communities size n, n >= r) does not hold."""
 

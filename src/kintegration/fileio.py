@@ -32,7 +32,7 @@ import operator
 import os
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import KIntegrationError, ParseError
 from .graph import CommunityGraph, build_graph, intern_graph, log
 
 
@@ -188,7 +188,16 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 def write_graph(
     g: CommunityGraph, edges_path: str | os.PathLike, communities_path: str | os.PathLike
 ) -> None:
-    """Write the canonical edge list and community map, each file replaced atomically."""
+    """Write the canonical edge list and community map, each file replaced atomically.
+
+    Refuses, before writing anything, a name the formats cannot hold: one
+    that is empty or holds whitespace, or a node name that starts with '#'
+    and would read back as a comment.
+    """
+    for kind, tokens in (("node", g.tokens), ("community", g.community_tokens)):
+        for token in tokens:
+            if token.split() != [token] or (kind == "node" and token.startswith("#")):
+                raise KIntegrationError(f"{kind} name {token!r} cannot be written to a graph file")
     write_text_atomic(edges_path, format_edge_list(g))
     write_text_atomic(communities_path, format_community_map(g))
 

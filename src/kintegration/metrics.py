@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidNodeError, InvalidParamsError
+from .errors import InvalidNodeError, require_int
 from .graph import CommunityGraph, Edge
 
 UNREACHED = -1
@@ -61,11 +61,6 @@ def _check_source(g: CommunityGraph, source: int) -> None:
         raise InvalidNodeError(source)
 
 
-def _check_bound(k: int) -> None:
-    if k < 0:
-        raise InvalidParamsError(f"integration bound must be >= 0, got {k}")
-
-
 def _bfs(adjacency: Sequence[Sequence[int]], source: int, depth_cap: int | None = None) -> list[int]:
     """Single-source BFS distances; UNREACHED marks nodes beyond reach or cap."""
     dist = [UNREACHED] * len(adjacency)
@@ -85,8 +80,7 @@ def _bfs(adjacency: Sequence[Sequence[int]], source: int, depth_cap: int | None 
 def bounded_bfs(g: CommunityGraph, source: int, k: int) -> dict[int, int]:
     """Distances of exactly the nodes within k hops of ``source``."""
     _check_source(g, source)
-    if k < 0:
-        raise InvalidParamsError(f"depth bound must be >= 0, got {k}")
+    require_int("k", k, 0)
     dist = _bfs(g.adjacency, source, depth_cap=k)
     return {v: d for v, d in enumerate(dist) if d != UNREACHED}
 
@@ -234,7 +228,7 @@ def is_k_integrated(g: CommunityGraph, k: int) -> KVerdict:
     the lowest-id unreachable node if any, else the lowest-id node at
     distance > k.
     """
-    _check_bound(k)
+    require_int("k", k, 0)
     q = _TwinQuotient(g)
     for level, balls in enumerate(_ball_levels(q.adjacency)):
         if level == k:
@@ -246,7 +240,7 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     """Aggregate B, C, k*, per-k verdicts and reach profile in one pass."""
     ks = list(ks)
     for k in ks:
-        _check_bound(k)
+        require_int("k", k, 0)
     wanted = set(ks)
     q = _TwinQuotient(g)
     verdicts: dict[int, KVerdict] = {}

@@ -6,12 +6,14 @@ nodes is within distance k?  The exhaustive search enumerates candidate
 bridge sets in ascending size, so the first feasible set certifies the
 true minimum.
 
-Symmetry reduction skips candidate sets that are relabelings of an
-earlier one (nodes within a community are interchangeable, as are whole
-communities of equal size).  Candidates are generated in lexicographic
-order under constraints that every orbit's lex-least member satisfies,
-so the reduced search still visits the lex-least feasible set first and
-reports the same witness a full enumeration would.
+There is one search, and it is symmetry-reduced: it skips candidate
+sets that are relabelings of an earlier one (nodes within a community
+are interchangeable, as are whole communities of equal size).
+Candidates are generated in lexicographic order under constraints that
+every orbit's lex-least member satisfies, so the search still visits
+the lex-least feasible set first and reports the same witness a full
+enumeration would; the tests hold it to the unreduced enumeration in
+``tests/naive.py``.
 
 Candidate counts grow combinatorially, so the search takes a leaf
 budget.  Exceeding it returns a partial verdict (min_bridges is None)
@@ -21,15 +23,17 @@ out.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParamsError
+from .constructions import complete_quotient, extended_star, star_quotient, two_star
+from .errors import InvalidParamsError, require_int
 from .graph import Edge
 from .thresholds import Bound, bridge_threshold, central_threshold
 
 DEFAULT_BUDGET = 2_000_000
+# the cross pairs sit in one tuple (~100 B a pair) that each randomized swap copies
+MAX_CROSS_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class OracleVerdict:
     sets_examined: int
     certified: bool
     exhausted_size: int | None
-    symmetry_reduced: bool
 
     @property
     def r(self) -> int:
@@ -166,42 +169,41 @@ class _Instance:
         return True
 
 
-def _validate_sizes_k(sizes, k: int) -> None:
-    if not sizes:
-        raise InvalidParamsError("need at least one community")
-    for s in sizes:
-        if not isinstance(s, int) or s < 1:
-            raise InvalidParamsError(f"community sizes must be integers >= 1, got {s!r}")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidParamsError(f"integration level must be an integer >= 1, got {k!r}")
+def _instance(sizes: tuple[int, ...]) -> _Instance:
+    """The search instance for validated sizes, refused in closed form above MAX_CROSS_PAIRS."""
+    nodes = sum(sizes)
+    pairs = (nodes * nodes - sum(s * s for s in sizes)) // 2
+    if pairs > MAX_CROSS_PAIRS:
+        raise InvalidParamsError(
+            f"{len(sizes)} communities of {nodes} nodes give {pairs} cross pairs, more than the limit of {MAX_CROSS_PAIRS}"
+        )
+    return _Instance(sizes)
 
 
-def min_bridges_for_sizes(
-    sizes,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    symmetry_reduction: bool = True,
-) -> OracleVerdict:
+def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Exact minimum bridge count for communities of the given sizes.
 
     Sizes are sorted ascending internally and the verdict reports the
     sorted profile; witness node ids refer to that layout.
     """
-    _validate_sizes_k(sizes, k)
-    if not isinstance(budget, int) or budget < 1:
-        raise InvalidParamsError(f"budget must be an integer >= 1, got {budget!r}")
+    if not sizes:
+        raise InvalidParamsError("need at least one community")
+    for s in sizes:
+        require_int("community size", s, 1)
+    require_int("k", k, 1)
+    require_int("budget", budget, 1)
     ordered = tuple(sorted(sizes))
-    inst = _Instance(ordered)
-    if inst.r == 1:
+    if len(ordered) == 1:
         # one complete community has diameter at most 1 already
-        return OracleVerdict(ordered, k, 0, (), 0, True, None, symmetry_reduction)
+        return OracleVerdict(ordered, k, 0, (), 0, True, None)
+    inst = _instance(ordered)
     if k == 1:
         # diameter <= 1 means complete, so every cross pair must be
         # bridged; the full cross set is the unique minimum
         witness = inst.universe
         if not inst.is_k_integrated(inst.bridge_adjacency(witness), 1):
             raise AssertionError("internal: complete join failed its own check")
-        return OracleVerdict(ordered, k, len(witness), witness, 1, True, None, symmetry_reduction)
+        return OracleVerdict(ordered, k, len(witness), witness, 1, True, None)
 
     universe = inst.universe
     start = inst.r - 1  # fewer bridges cannot connect r communities
@@ -210,99 +212,68 @@ def min_bridges_for_sizes(
     for m in range(start, len(universe) + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
-        if symmetry_reduction:
-            used = [0] * inst.r  # used slots form a prefix per community
-            chosen: list[Edge] = []
+        used = [0] * inst.r  # used slots form a prefix per community
+        chosen: list[Edge] = []
 
-            def extend(start_idx: int) -> bool:
-                """Returns True to stop the whole size-m pass."""
-                nonlocal examined, found, budget_hit
-                if len(chosen) == m:
-                    if examined >= budget:
-                        budget_hit = True
-                        return True
-                    examined += 1
-                    if inst.is_k_integrated(badj, k):
-                        found = tuple(chosen)
-                        return True
-                    return False
-                remaining = m - len(chosen)
-                for idx in range(start_idx, len(universe) - remaining + 1):
-                    u, v = universe[idx]
-                    cu = inst.community_of[u]
-                    su = u - inst.offsets[cu]
-                    if su > used[cu]:
-                        continue
-                    if used[cu] == 0 and cu != inst.block_start[cu] and used[cu - 1] == 0:
-                        continue
-                    bumped_u = su == used[cu]
-                    if bumped_u:
-                        used[cu] += 1
-                    cv = inst.community_of[v]
-                    sv = v - inst.offsets[cv]
-                    if sv <= used[cv] and not (
-                        used[cv] == 0 and cv != inst.block_start[cv] and used[cv - 1] == 0
-                    ):
-                        if bumped_v := sv == used[cv]:
-                            used[cv] += 1
-                        badj[u] |= 1 << v
-                        badj[v] |= 1 << u
-                        chosen.append((u, v))
-                        if extend(idx + 1):
-                            return True
-                        chosen.pop()
-                        badj[u] &= ~(1 << v)
-                        badj[v] &= ~(1 << u)
-                        if bumped_v:
-                            used[cv] -= 1
-                    if bumped_u:
-                        used[cu] -= 1
-                return False
-
-            extend(0)
-        else:
-            for combo in itertools.combinations(universe, m):
+        def extend(start_idx: int) -> bool:
+            """Returns True to stop the whole size-m pass."""
+            nonlocal examined, found, budget_hit
+            if len(chosen) == m:
                 if examined >= budget:
                     budget_hit = True
-                    break
+                    return True
                 examined += 1
-                if inst.is_k_integrated(inst.bridge_adjacency(combo), k):
-                    found = combo
-                    break
+                if inst.is_k_integrated(badj, k):
+                    found = tuple(chosen)
+                    return True
+                return False
+            remaining = m - len(chosen)
+            for idx in range(start_idx, len(universe) - remaining + 1):
+                u, v = universe[idx]
+                cu = inst.community_of[u]
+                su = u - inst.offsets[cu]
+                if su > used[cu]:
+                    continue
+                if used[cu] == 0 and cu != inst.block_start[cu] and used[cu - 1] == 0:
+                    continue
+                bumped_u = su == used[cu]
+                if bumped_u:
+                    used[cu] += 1
+                cv = inst.community_of[v]
+                sv = v - inst.offsets[cv]
+                if sv <= used[cv] and not (
+                    used[cv] == 0 and cv != inst.block_start[cv] and used[cv - 1] == 0
+                ):
+                    if bumped_v := sv == used[cv]:
+                        used[cv] += 1
+                    badj[u] |= 1 << v
+                    badj[v] |= 1 << u
+                    chosen.append((u, v))
+                    if extend(idx + 1):
+                        return True
+                    chosen.pop()
+                    badj[u] &= ~(1 << v)
+                    badj[v] &= ~(1 << u)
+                    if bumped_v:
+                        used[cv] -= 1
+                if bumped_u:
+                    used[cu] -= 1
+            return False
+
+        extend(0)
         if found is not None:
-            return OracleVerdict(ordered, k, m, found, examined, True, m - 1, symmetry_reduction)
+            return OracleVerdict(ordered, k, m, found, examined, True, m - 1)
         if budget_hit:
-            return OracleVerdict(ordered, k, None, None, examined, False, m - 1, symmetry_reduction)
+            return OracleVerdict(ordered, k, None, None, examined, False, m - 1)
     # unreachable for k >= 1: the full cross set is always feasible
-    return OracleVerdict(ordered, k, None, None, examined, False, len(universe), symmetry_reduction)
+    return OracleVerdict(ordered, k, None, None, examined, False, len(universe))
 
 
-def min_bridges_exhaustive(
-    r: int,
-    n: int,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    symmetry_reduction: bool = True,
-) -> OracleVerdict:
+def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Exact minimum bridge count for r communities of n nodes each."""
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParamsError(f"community count must be an integer >= 1, got {r!r}")
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParamsError(f"community size must be an integer >= 1, got {n!r}")
-    return min_bridges_for_sizes((n,) * r, k, budget=budget, symmetry_reduction=symmetry_reduction)
-
-
-def _seed_bridges(r: int, n: int, k: int) -> tuple[Edge, ...]:
-    """A bridge set known to be k-integrated, used to start local search."""
-    if k == 2:
-        # hub node 0 bridged to every node outside its community
-        return tuple((0, v) for v in range(n, r * n))
-    if k == 3:
-        # one central per community, every pair of centrals bridged
-        return tuple((i * n, j * n) for i, j in itertools.combinations(range(r), 2))
-    # k >= 4: centrals in a star around community 0 reach anything in
-    # at most 4 hops
-    return tuple((0, j * n) for j in range(1, r))
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    return min_bridges_for_sizes((n,) * r, k, budget=budget)
 
 
 def min_bridges_randomized(
@@ -319,22 +290,23 @@ def min_bridges_randomized(
     escape local minima.  The returned witness is always verified
     feasible, so the bound is sound even though it may not be tight.
     """
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParamsError(f"community count must be an integer >= 1, got {r!r}")
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParamsError(f"community size must be an integer >= 1, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise InvalidParamsError(f"integration level must be an integer >= 1, got {k!r}")
-    if not isinstance(trials, int) or trials < 1:
-        raise InvalidParamsError(f"trials must be an integer >= 1, got {trials!r}")
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    require_int("k", k, 1)
+    require_int("trials", trials, 1)
     sizes = (n,) * r
-    inst = _Instance(sizes)
     if r == 1:
         return RandomizedBound(sizes, k, 0, (), trials, seed)
+    inst = _instance(sizes)
     if k == 1:
         # forced: every cross pair must be present
         return RandomizedBound(sizes, k, len(inst.universe), inst.universe, trials, seed)
-    initial = _seed_bridges(r, n, k)
+    # the construction meeting this k row; its node ids follow the search's layout
+    if k == 2:
+        built = two_star(r, n)
+    else:
+        built = extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
+    initial = built.graph.census.bridges
     if not inst.is_k_integrated(inst.bridge_adjacency(initial), k):
         raise AssertionError("internal: seed bridge set failed its own check")
     rng = random.Random(seed)

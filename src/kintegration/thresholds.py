@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParamsError, ModelViolationError
+from .errors import InvalidParamsError, ModelViolationError, require_int
 from .graph import CommunityGraph
 
 
@@ -56,12 +56,9 @@ class SegregationVerdict:
 
 
 def _validate(r: int, n: int, k: int) -> None:
-    if not (isinstance(r, int) and isinstance(n, int) and isinstance(k, int)):
-        raise InvalidParamsError("r, n and k must be integers")
-    if r < 1 or n < 1:
-        raise InvalidParamsError(f"need r >= 1 and n >= 1, got r={r}, n={n}")
-    if k < 1:
-        raise InvalidParamsError(f"integration bound must be >= 1, got k={k}")
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    require_int("k", k, 1)
     if n < r:
         raise ModelViolationError(f"the model requires n >= r, got n={n} < r={r}")
 
@@ -112,17 +109,26 @@ MAX_KMAX = 10_000
 
 def threshold_rows(r: int, n: int, kmax: int) -> list[ThresholdRow]:
     """The table of (B_k, C_k) for k = 1..kmax, with kmax at most MAX_KMAX."""
-    _validate(r, n, kmax)
-    if kmax > MAX_KMAX:
-        raise InvalidParamsError(f"kmax must be <= {MAX_KMAX}, got {kmax}")
+    require_int("kmax", kmax, 1, maximum=MAX_KMAX)
     return [ThresholdRow(k, bridge_threshold(r, n, k), central_threshold(r, n, k)) for k in range(1, kmax + 1)]
 
 
 def pair_bridge_minimum(n1: int, n2: int) -> int:
     """Minimum bridges that 2-integrate two disjoint complete graphs: min(n1, n2)."""
-    if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 1 or n2 < 1:
-        raise InvalidParamsError(f"community sizes must be integers >= 1, got {n1}, {n2}")
+    require_int("n1", n1, 1)
+    require_int("n2", n2, 1)
     return min(n1, n2)
+
+
+def model_shape(g: CommunityGraph) -> tuple[int, int]:
+    """(r, n) when all r communities have n >= r nodes, else ModelViolationError saying why."""
+    sizes = sorted(set(g.community_sizes))
+    if len(sizes) > 1:
+        raise ModelViolationError(f"community sizes differ: {sizes}")
+    r, n = g.community_count, sizes[0]
+    if n < r:
+        raise ModelViolationError(f"community size {n} is below the community count {r}")
+    return r, n
 
 
 def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
@@ -133,13 +139,7 @@ def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
     NotDetermined otherwise (the conditions are necessary, never
     sufficient, so a NotDetermined graph still needs measuring).
     """
-    sizes = set(g.community_sizes)
-    if len(sizes) != 1:
-        raise ModelViolationError(
-            f"the model requires equal community sizes, got {sorted(g.community_sizes)}"
-        )
-    r = g.community_count
-    n = g.community_sizes[0]
+    r, n = model_shape(g)
     b_bound = bridge_threshold(r, n, k)
     c_required = central_threshold(r, n, k)
     b = len(g.census.bridges)

@@ -11,6 +11,7 @@ other way around.
 from __future__ import annotations
 
 import itertools
+import math
 
 INF = float("inf")
 
@@ -110,6 +111,12 @@ def cross_pairs(sizes):
             for v in groups[j]:
                 out.append((u, v))
     return sorted(out)
+
+
+def bridge_set_count(sizes, smallest, largest):
+    """How many bridge sets of sizes smallest..largest the cross pairs allow."""
+    pairs = len(cross_pairs(sizes))
+    return sum(math.comb(pairs, m) for m in range(smallest, largest + 1))
 
 
 def min_bridges(sizes, k, max_size=None):

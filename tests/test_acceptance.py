@@ -82,7 +82,7 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
     # a certified mismatch must surface as exit code 3
     fake_verdict = OracleVerdict(
         sizes=(2, 2), k=2, min_bridges=1, witness=((0, 2),), sets_examined=5,
-        certified=True, exhausted_size=0, symmetry_reduced=True,
+        certified=True, exhausted_size=0,
     )
     fake_row = RowCheck(
         r=2, n=2, k=2, bound=Bound(2, 2), centrals_required=3,

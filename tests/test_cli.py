@@ -106,6 +106,19 @@ def test_analyze_strict_model_rejects_uneven_sizes(capsys, tmp_path):
     assert "community sizes differ" in err
 
 
+def test_analyze_communities_smaller_than_their_count(capsys, tmp_path):
+    # three communities of two nodes: equal sizes, but n < r
+    (tmp_path / "e.txt").write_text("a1 a2\nb1 b2\nc1 c2\na1 b1\nb1 c1\n")
+    (tmp_path / "c.txt").write_text("a1 A\na2 A\nb1 B\nb2 B\nc1 C\nc2 C\n")
+    argv = ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt")]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["thresholds"] is None
+    code, out, err = run(capsys, argv + ["--strict-model"])
+    assert (code, out) == (1, "")
+    assert err == "error: community size 2 is below the community count 3\n"
+
+
 def test_analyze_single_community_threshold_note(capsys, tmp_path):
     (tmp_path / "e.txt").write_text("x y\n")
     (tmp_path / "c.txt").write_text("x only\ny only\n")
@@ -182,7 +195,7 @@ def test_certify_disagreement_exits_3(capsys, monkeypatch):
     # fabricate an oracle that contradicts the table
     fake_verdict = OracleVerdict(
         sizes=(2, 2), k=2, min_bridges=1, witness=((0, 2),), sets_examined=7,
-        certified=True, exhausted_size=0, symmetry_reduced=True,
+        certified=True, exhausted_size=0,
     )
     fake_row = RowCheck(
         r=2, n=2, k=2, bound=Bound(2, 2), centrals_required=3,
@@ -292,6 +305,41 @@ def test_thresholds_kmax_is_bounded(capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: kmax must be <= {MAX_KMAX}, got {MAX_KMAX + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", *SAMPLE, "--k", "0"],
+        ["generate", "--family", "two-star", "-r", "2", "-n", "0", "--out", "{tmp}"],
+        ["certify", "-r", "2", "-n", "2", "--budget", "0"],
+        ["certify", "-r", "2", "-n", "2", "--mode", "randomized", "--trials", "0"],
+        ["thresholds", "-r", "2", "-n", "2", "--kmax", "0"],
+    ],
+)
+def test_bad_integer_parameter_exits_1_with_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+def test_oversized_requests_are_refused_before_building(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("the oversized instance was built")
+
+    # the per-edge builders fail loudly, so a missing guard cannot allocate the instance
+    monkeypatch.setattr(cli.constructions, "_assemble", never)
+    monkeypatch.setattr(cli.oracle, "_Instance", never)
+    argv = ["generate", "--family", "complete-join", "-r", "8", "-n", "1000", "--out", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: r=8, n=1000 needs 31996000 edges, more than the limit of 10000000\n"
+    assert list(tmp_path.iterdir()) == []
+    for mode in ("exhaustive", "randomized"):
+        code, out, err = run(capsys, ["certify", "-r", "8", "-n", "1000", "--k", "2", "--mode", mode])
+        assert (code, out) == (1, "")
+        assert err == "error: 8 communities of 8000 nodes give 28000000 cross pairs, more than the limit of 100000\n"
 
 
 def test_thresholds_model_violation_exits_1(capsys):

@@ -1,4 +1,5 @@
 import logging
+import re
 import tempfile
 from pathlib import Path
 
@@ -98,6 +99,26 @@ def _token_pair_reference(g):
     """Canonical edge list by definition: token pairs, each ordered, all sorted."""
     pairs = sorted(tuple(sorted((g.tokens[u], g.tokens[v]))) for u, v in g.edges)
     return "".join(f"{a} {b}\n" for a, b in pairs)
+
+
+@pytest.mark.parametrize(
+    "edges,communities,token",
+    [
+        ([("wo rld", "b")], {"wo rld": "A", "b": "B"}, "wo rld"),
+        ([("#a", "b")], {"#a": "A", "b": "B"}, "#a"),
+        ([("", "b")], {"": "A", "b": "B"}, ""),
+        ([("a", "b")], {"a": "A", "b": "x\ty"}, "x\ty"),
+    ],
+)
+def test_write_graph_refuses_names_the_formats_cannot_hold(tmp_path, edges, communities, token):
+    g = build_graph(edges, communities)
+    with pytest.raises(KIntegrationError, match=re.escape(repr(token))):
+        write_graph(g, tmp_path / "e.txt", tmp_path / "c.txt")
+    assert list(tmp_path.iterdir()) == []
+    # a community named '#x' sits after its node on the line, so it round-trips
+    g = build_graph([("a", "b")], {"a": "#x", "b": "y"})
+    write_graph(g, tmp_path / "e.txt", tmp_path / "c.txt")
+    assert load_graph(tmp_path / "e.txt", tmp_path / "c.txt") == g
 
 
 def test_format_edge_list_same_on_sorted_and_unsorted_tokens():

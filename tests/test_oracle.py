@@ -48,12 +48,14 @@ def test_matches_naive_enumeration_including_witness(sizes, k):
 
 @pytest.mark.parametrize("sizes,k", [((2, 2), 2), ((2, 3), 2), ((3, 3), 3), ((2, 2, 2), 3), ((1, 2, 2), 2)])
 def test_symmetry_reduction_changes_nothing_but_work(sizes, k):
-    reduced = min_bridges_for_sizes(sizes, k, symmetry_reduction=True)
-    plain = min_bridges_for_sizes(sizes, k, symmetry_reduction=False)
-    assert reduced.min_bridges == plain.min_bridges
-    assert reduced.witness == plain.witness
-    assert reduced.sets_examined <= plain.sets_examined
-    assert reduced.symmetry_reduced and not plain.symmetry_reduced
+    ordered = tuple(sorted(sizes))
+    expected_count, expected_witness = naive.min_bridges(ordered, k)
+    verdict = min_bridges_for_sizes(sizes, k)
+    assert verdict.min_bridges == expected_count
+    assert verdict.witness == expected_witness
+    assert verdict.certified
+    # no more work than the unreduced enumeration from r-1 bridges up to the minimum
+    assert verdict.sets_examined <= naive.bridge_set_count(ordered, len(sizes) - 1, expected_count)
 
 
 def test_certified_minima_match_threshold_table():

@@ -1,0 +1,68 @@
+"""Every public entry point rejects a bad integer parameter with InvalidParamsError."""
+
+import pytest
+
+from kintegration import (
+    InvalidParamsError,
+    QuotientGraph,
+    bounded_bfs,
+    bridge_threshold,
+    build_report,
+    central_threshold,
+    complete_join,
+    complete_quotient,
+    extended_star,
+    is_k_integrated,
+    min_bridges_exhaustive,
+    min_bridges_for_sizes,
+    min_bridges_randomized,
+    pair_bridge_minimum,
+    threshold_rows,
+    two_star,
+)
+
+from helpers import islands
+
+_G = islands(2, 2, [(0, 2)])
+
+# case -> (entry point, its arguments with the parameter under test set to x, that parameter's minimum)
+_CASES = {
+    "bridge_threshold.r": (bridge_threshold, lambda x: (x, 2, 2), 1),
+    "bridge_threshold.n": (bridge_threshold, lambda x: (1, x, 2), 1),
+    "bridge_threshold.k": (bridge_threshold, lambda x: (2, 2, x), 1),
+    "central_threshold.k": (central_threshold, lambda x: (2, 2, x), 1),
+    "threshold_rows.kmax": (threshold_rows, lambda x: (2, 2, x), 1),
+    "pair_bridge_minimum.n1": (pair_bridge_minimum, lambda x: (x, 2), 1),
+    "pair_bridge_minimum.n2": (pair_bridge_minimum, lambda x: (2, x), 1),
+    "complete_join.r": (complete_join, lambda x: (x, 2), 1),
+    "complete_join.n": (complete_join, lambda x: (2, x), 1),
+    "two_star.r": (two_star, lambda x: (x, 2), 1),
+    "two_star.n": (two_star, lambda x: (2, x), 1),
+    "extended_star.r": (extended_star, lambda x: (x, 2, complete_quotient(1)), 1),
+    "extended_star.n": (extended_star, lambda x: (2, x, complete_quotient(2)), 1),
+    "QuotientGraph.r": (QuotientGraph, lambda x: (x, ()), 1),
+    "bounded_bfs.k": (bounded_bfs, lambda x: (_G, 0, x), 0),
+    "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 0),
+    "build_report.ks": (build_report, lambda x: (_G, [1, x]), 0),
+    "min_bridges_for_sizes.sizes": (min_bridges_for_sizes, lambda x: ((2, x), 2), 1),
+    "min_bridges_for_sizes.k": (min_bridges_for_sizes, lambda x: ((2, 2), x), 1),
+    "min_bridges_for_sizes.budget": (min_bridges_for_sizes, lambda x: ((2, 2), 2, x), 1),
+    "min_bridges_exhaustive.r": (min_bridges_exhaustive, lambda x: (x, 2, 2), 1),
+    "min_bridges_exhaustive.n": (min_bridges_exhaustive, lambda x: (2, x, 2), 1),
+    "min_bridges_exhaustive.k": (min_bridges_exhaustive, lambda x: (2, 2, x), 1),
+    "min_bridges_exhaustive.budget": (min_bridges_exhaustive, lambda x: (2, 2, 2, x), 1),
+    "min_bridges_randomized.r": (min_bridges_randomized, lambda x: (x, 2, 2), 1),
+    "min_bridges_randomized.n": (min_bridges_randomized, lambda x: (2, x, 2), 1),
+    "min_bridges_randomized.k": (min_bridges_randomized, lambda x: (2, 2, x), 1),
+    "min_bridges_randomized.trials": (min_bridges_randomized, lambda x: (2, 2, 2, x), 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["below", "minus-one", 1.5, "2", None], ids=repr)
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_entry_points_reject_bad_integers(case, bad):
+    func, args, minimum = _CASES[case]
+    func(*args(minimum))  # the minimum itself is accepted
+    value = {"below": minimum - 1, "minus-one": -1}.get(bad, bad)
+    with pytest.raises(InvalidParamsError):
+        func(*args(value))
