@@ -7,18 +7,17 @@ Canonical output sorts nodes by token and edges lexicographically by
 token pair, with LF line endings, so serialization round-trips
 bit-exactly.
 
-``load_graph`` reads both files, with line endings normalised to LF
-on read, so CRLF files load like LF ones. It parses the community file
-with ``parse_community_map`` and then tries one fused pass over the
-edge file: it splits each edge line at its single space, maps both
-tokens to ids through the sorted node index and fills the neighbour
-lists in the same loop. That pass accepts only a plain edge file (every
-line exactly "token token", no comments or blank lines, no self-loops or
-unknown nodes) and gives up without raising on anything else, including
-any community-file error. Then the line-numbered parsers and
-``build_graph`` run as the only judges of the input, so every error
-message, line number and the order in which the two files' errors win
-are those of the parsers.
+``load_graph`` reads each file once, with line endings normalised to
+LF on read, so CRLF files load like LF ones. It parses the community
+file with ``parse_community_map`` and then makes one pass over the edge
+file's lines. A plain line, two known and distinct node names separated
+by one space, is split at that space and its two ids are appended to
+the neighbour lists. Any other line gets the rules ``parse_edge_list``
+and ``build_graph`` apply, in the same loop. An edge-line syntax error
+raises at once; an error in the community file, an empty map and the
+first self-loop or unknown node are held until the pass ends, so the
+errors and line numbers are those of ``parse_edge_list``,
+``parse_community_map`` and ``build_graph`` run one after another.
 
 ``format_edge_list`` writes each node's edges to its higher neighbours
 as one joined block when the tokens already sort in id order (as in
@@ -30,23 +29,29 @@ from __future__ import annotations
 import bisect
 import operator
 import os
-from typing import Iterable
 
-from .errors import KIntegrationError, ParseError
-from .graph import CommunityGraph, build_graph, intern_graph, log
+from .errors import EmptyCommunityMapError, KIntegrationError, ParseError, SelfLoopError, UnknownNodeError
+from .graph import CommunityGraph, edge_ids, index_nodes, intern_graph
+
+
+def _edge_pair(line: str, lines: list[str]) -> tuple[str, str] | None:
+    """The node pair on ``line``, one of an edge file's ``lines``, or None for a blank or comment line.
+
+    A line without two tokens raises ParseError numbered by its first
+    occurrence, which is this one: an identical earlier line raised first.
+    """
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    parts = stripped.split()
+    if len(parts) != 2:
+        raise ParseError(lines.index(line) + 1, f"expected 2 node tokens, got {len(parts)}: {stripped!r}")
+    return parts[0], parts[1]
 
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 2 node tokens, got {len(parts)}: {line!r}")
-        pairs.append((parts[0], parts[1]))
-    return pairs
+    lines = text.splitlines()
+    return [pair for line in lines if (pair := _edge_pair(line, lines)) is not None]
 
 
 def parse_community_map(text: str) -> dict[str, str]:
@@ -77,60 +82,44 @@ def _read_text(path: str | os.PathLike) -> str:
             ) from None
 
 
-def _load_plain(edges_text: str, communities_text: str) -> CommunityGraph | None:
-    """The graph of a plain edge file in one pass, or None where the parsers must judge.
-
-    The community map comes from ``parse_community_map``, so its node
-    keys are non-empty, hold no whitespace (every line break the parsers
-    know is whitespace) and do not start with '#'. An edge line that is
-    not exactly "key key" therefore fails the index lookup: a comment, a
-    blank line, any other whitespace and a wrong token count all end in
-    None. A community-file error ends in None too, so that the parsers
-    report an edge-file error first.
-    """
-    try:
-        communities = parse_community_map(communities_text)
-    except ParseError:
-        return None
-    if not communities:
-        return None
-    node_keys = sorted(communities)
-    index = {key: u for u, key in enumerate(node_keys)}
-    neighbors: list[list[int]] = [[] for _ in node_keys]
-    lines = edges_text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    try:
-        for line in lines:
-            a, _, b = line.partition(" ")
-            u = index[a]
-            v = index[b]
-            if u == v:
-                return None
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-    except KeyError:
-        return None
-    g = intern_graph(communities, node_keys, map(set, neighbors))
-    duplicates = len(lines) - g.edge_count
-    if duplicates:
-        log.debug("collapsed %d duplicate edge listings", duplicates)
-    return g
-
-
 def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLike) -> CommunityGraph:
     edges_text = _read_text(edges_path)
+    # raised after the edge pass, which may still find an edge-line syntax error
+    held: Exception | None = None
+    communities, node_keys, index = {}, [], {}
     try:
-        communities_text = _read_text(communities_path)
-    except (OSError, ParseError):
-        parse_edge_list(edges_text)  # an edge-file error is reported first
-        raise
-    g = _load_plain(edges_text, communities_text)
-    if g is not None:
-        return g
-    edges = parse_edge_list(edges_text)
-    communities = parse_community_map(communities_text)
-    return build_graph(edges, communities)
+        communities = parse_community_map(_read_text(communities_path))
+        node_keys, index = index_nodes(communities)
+    except (OSError, ParseError, EmptyCommunityMapError) as exc:
+        held = exc
+    neighbors: list[list[int]] = [[] for _ in node_keys]
+    # node names hold no whitespace and do not start with '#', so a line
+    # other than "name name" fails a lookup below
+    lines = edges_text.splitlines()
+    for line in lines:
+        a, _, b = line.partition(" ")
+        try:
+            u = index[a]
+            v = index[b]
+            if u != v:
+                neighbors[u].append(v)
+                neighbors[v].append(u)
+                continue
+        except KeyError:
+            pass
+        pair = _edge_pair(line, lines)
+        if pair is None or held is not None:
+            continue
+        try:
+            u, v = edge_ids(*pair, index)
+        except (SelfLoopError, UnknownNodeError) as exc:
+            held = exc
+            continue
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    if held is not None:
+        raise held
+    return intern_graph(communities, node_keys, neighbors)
 
 
 def _token_edges(g: CommunityGraph) -> list[tuple[str, str]]:

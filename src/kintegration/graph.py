@@ -127,50 +127,55 @@ def build_graph(
     ids in sorted-key order and kept as string tokens. Duplicate edge
     listings collapse to one edge.
     """
+    node_keys, node_index = index_nodes(communities)
+    neighbors: list[list[int]] = [[] for _ in node_keys]
+    for a, b in edges:
+        u, v = edge_ids(a, b, node_index)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return intern_graph(communities, node_keys, neighbors)
+
+
+def index_nodes(communities: Mapping[Hashable, Hashable]) -> tuple[list, dict]:
+    """The sorted node keys and each key's id; an empty map raises EmptyCommunityMapError."""
     if not communities:
         raise EmptyCommunityMapError()
-
     node_keys = sorted(communities)
-    node_index = {key: i for i, key in enumerate(node_keys)}
-    seen: set[Edge] = set()
-    duplicates = 0
-    for a, b in edges:
-        if a == b:
-            raise SelfLoopError(a)
-        if a not in node_index:
-            raise UnknownNodeError(a)
-        if b not in node_index:
-            raise UnknownNodeError(b)
-        u, v = node_index[a], node_index[b]
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-    if duplicates:
-        log.debug("collapsed %d duplicate edge listings", duplicates)
+    return node_keys, {key: i for i, key in enumerate(node_keys)}
 
-    neighbor_sets: list[set[int]] = [set() for _ in node_keys]
-    for u, v in seen:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    return intern_graph(communities, node_keys, neighbor_sets)
+
+def edge_ids(a: Hashable, b: Hashable, node_index: Mapping[Hashable, int]) -> Edge:
+    """The ids of edge (a, b)'s ends, checking for a self-loop, then an unknown ``a``, then an unknown ``b``."""
+    if a == b:
+        raise SelfLoopError(a)
+    if a not in node_index:
+        raise UnknownNodeError(a)
+    if b not in node_index:
+        raise UnknownNodeError(b)
+    return node_index[a], node_index[b]
 
 
 def intern_graph(
     communities: Mapping[Hashable, Hashable],
     node_keys: list,
-    neighbor_sets: Iterable[set[int]],
+    neighbor_lists: list[list[int]],
 ) -> CommunityGraph:
-    """The graph of validated neighbour sets, indexed by position in ``node_keys`` (the sorted node keys)."""
+    """The graph of validated neighbour lists, indexed by position in ``node_keys`` (the sorted node keys).
+
+    Each edge listing is in both ends' lists; repeated listings collapse to one edge.
+    """
     community_keys = sorted(set(communities.values()))
     community_index = {key: i for i, key in enumerate(community_keys)}
-    return CommunityGraph(
-        adjacency=tuple(tuple(sorted(nb)) for nb in neighbor_sets),
+    g = CommunityGraph(
+        adjacency=tuple(tuple(sorted(set(nb))) for nb in neighbor_lists),
         community_of=tuple(community_index[communities[key]] for key in node_keys),
         tokens=tuple(str(key) for key in node_keys),
         community_tokens=tuple(str(key) for key in community_keys),
     )
+    duplicates = sum(map(len, neighbor_lists)) // 2 - g.edge_count
+    if duplicates:
+        log.debug("collapsed %d duplicate edge listings", duplicates)
+    return g
 
 
 def bridges(g: CommunityGraph) -> list[Edge]:

@@ -139,14 +139,6 @@ class _Instance:
 
     def is_k_integrated(self, bridge_adj: list[int], k: int) -> bool:
         """True iff every pair of nodes is within distance k."""
-        if self.r >= 2:
-            # a community with no bridge endpoint is cut off
-            touched = 0
-            for u in range(self.node_count):
-                if bridge_adj[u]:
-                    touched |= 1 << self.community_of[u]
-            if touched != (1 << self.r) - 1:
-                return False
         full = self.full_mask
         for source in range(self.node_count):
             reach = 1 << source
@@ -170,12 +162,20 @@ class _Instance:
 
 
 def _instance(sizes: tuple[int, ...]) -> _Instance:
-    """The search instance for validated sizes, refused in closed form above MAX_CROSS_PAIRS."""
+    """The search instance for validated sizes, refused in closed form above MAX_CROSS_PAIRS.
+
+    ``_Instance`` holds nodes² mask bits, so nodes² is capped at 4 × that
+    limit too; r >= 2 equal sizes have nodes² <= 4 × their cross pairs.
+    """
     nodes = sum(sizes)
     pairs = (nodes * nodes - sum(s * s for s in sizes)) // 2
     if pairs > MAX_CROSS_PAIRS:
         raise InvalidParamsError(
             f"{len(sizes)} communities of {nodes} nodes give {pairs} cross pairs, more than the limit of {MAX_CROSS_PAIRS}"
+        )
+    if nodes * nodes > 4 * MAX_CROSS_PAIRS:
+        raise InvalidParamsError(
+            f"{len(sizes)} communities of {nodes} nodes need {nodes * nodes} mask bits, more than the limit of {4 * MAX_CROSS_PAIRS}"
         )
     return _Instance(sizes)
 

@@ -17,6 +17,7 @@ from kintegration import (
     to_dot,
     write_graph,
 )
+from kintegration import fileio, graph
 from kintegration.fileio import format_community_map, format_edge_list
 
 
@@ -151,7 +152,7 @@ def test_format_edge_list_matches_token_pair_definition(data):
         assert format_edge_list(g) == _token_pair_reference(g)
 
 
-# Loader equivalence: load_graph (one fused pass with a fallback) against the
+# Loader equivalence: load_graph (one pass over each file) against the
 # line-numbered parsers followed by build_graph, on texts with every kind of
 # irregularity the parsers know about.
 _NODES = ["a", "b", "c", "d", "9", "10", "#x", "x#"]
@@ -258,12 +259,29 @@ def test_load_graph_reports_edge_error_before_missing_community_file(tmp_path):
         load_graph(tmp_path / "e.txt", tmp_path / "missing.txt")
 
 
-def test_load_graph_logs_collapsed_duplicates_on_both_paths(tmp_path, caplog):
+def test_load_graph_logs_collapsed_duplicates_on_plain_and_other_lines(tmp_path, caplog):
     (tmp_path / "c.txt").write_text("a A\nb A\nc B\n")
-    for edges in ("a b\nb a\nb c\na b\n", "# comment\na b\nb a\nb c\na b\n"):
+    for edges in ("a b\nb a\nb c\na b\n", "# comment\na b\nb a\nb c\na b\n", "a\tb\nb a\nb c\na  b\n"):
         (tmp_path / "e.txt").write_text(edges)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="kintegration.graph"):
             g = load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+            assert build_graph(parse_edge_list(edges), {"a": "A", "b": "A", "c": "B"}) == g
         assert g.edge_count == 2
-        assert [r.getMessage() for r in caplog.records] == ["collapsed 2 duplicate edge listings"]
+        assert [r.getMessage() for r in caplog.records] == ["collapsed 2 duplicate edge listings"] * 2
+
+
+def test_load_graph_decides_every_line_in_one_pass(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("load_graph handed the edge file to a parser")
+
+    # the parsers fail loudly, so the loader has to decide each line itself
+    communities = tmp_path / "c.txt"
+    communities.write_text("a A\nb A\nc B\nd B\n")
+    (tmp_path / "plain.txt").write_text("a b\nb c\nc d\n")
+    plain = load_graph(tmp_path / "plain.txt", communities)
+    monkeypatch.setattr(fileio, "parse_edge_list", never)
+    monkeypatch.setattr(graph, "build_graph", never)
+    for text in ("# header\na b\nb c\nc d\n", "a b\nb\tc\nc d\n", "a b\n\nb c\n\nc d\n", "a b\nb c\nc d\nb a\n"):
+        (tmp_path / "e.txt").write_text(text)
+        assert load_graph(tmp_path / "e.txt", communities) == plain

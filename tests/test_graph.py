@@ -40,6 +40,19 @@ def test_build_graph_rejects_unknown_node():
         build_graph([("x", "y")], {"x": "c"})
 
 
+def test_build_graph_checks_self_loop_then_first_then_second_end():
+    communities = {"x": "c", "y": "c"}
+    for edges, error, node in [
+        ([("zz", "zz")], SelfLoopError, "zz"),
+        ([("zz", "ww")], UnknownNodeError, "zz"),
+        ([("x", "ww"), ("zz", "zz")], UnknownNodeError, "ww"),
+        ([("x", "y"), ("y", "y"), ("zz", "x")], SelfLoopError, "y"),
+    ]:
+        with pytest.raises(error) as err:
+            build_graph(edges, communities)
+        assert err.value.node == node
+
+
 def test_build_graph_rejects_empty_community_map():
     with pytest.raises(EmptyCommunityMapError):
         build_graph([], {})

@@ -7,6 +7,7 @@ from kintegration import (
     min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
+    oracle,
 )
 
 import naive
@@ -96,6 +97,16 @@ def test_validation_errors():
         min_bridges_for_sizes((2, 2), 2, budget=0)
     with pytest.raises(InvalidParamsError):
         min_bridges_randomized(2, 2, 2, trials=0)
+
+
+def test_lopsided_sizes_are_refused_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("the lopsided instance was built")
+
+    # 20,000 cross pairs pass the pair limit, but 20,001 nodes need 20,001 masks of 20,001 bits
+    monkeypatch.setattr(oracle, "_Instance", never)
+    with pytest.raises(InvalidParamsError, match="more than the limit of 400000"):
+        min_bridges_for_sizes((1, 20000), 3)
 
 
 def test_randomized_upper_bound_is_sound():

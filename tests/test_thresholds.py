@@ -6,8 +6,12 @@ from kintegration import (
     ModelViolationError,
     bridge_threshold,
     central_threshold,
+    check_threshold_row,
+    extended_star,
+    integration_level,
     pair_bridge_minimum,
     segregation_verdict,
+    star_quotient,
     threshold_rows,
 )
 
@@ -61,6 +65,21 @@ def test_r2_has_no_interval_gap():
     # with two communities k=3 already reaches the floor of one bridge
     assert bridge_threshold(2, 5, 3) == Bound(1, 1)
     assert bridge_threshold(2, 5, 7) == Bound(1, 1)
+
+
+def test_intermediate_band_reaches_its_lower_end():
+    # the table keeps the paper's bracket for 3 < k < r+1 ...
+    assert bridge_threshold(5, 5, 4) == Bound(4, 10)
+    # ... but the extended star on the star quotient is 4-integrated with r-1
+    # bridges, and r-1 is what connectivity needs, so B_k = r-1 for every k >= 4
+    for r in range(3, 8):
+        for n in (2, 3, r):
+            g = extended_star(r, n, star_quotient(r)).graph
+            assert len(g.census.bridges) == r - 1
+            assert integration_level(g) == 4
+    for r, n in ((4, 4), (5, 5)):
+        row = check_threshold_row(r, n, 4)
+        assert (row.verdict.min_bridges, row.verdict.certified, row.agrees) == (r - 1, True, True)
 
 
 def test_single_community_is_free():
