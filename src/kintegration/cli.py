@@ -278,14 +278,18 @@ def cmd_certify(
                 exhausted = True
         else:
             bound = thresholds.bridge_threshold(r, n, k)
+            centrals_required = thresholds.central_threshold(r, n, k)
             rb = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
-            # a feasible witness below the predicted minimum disproves it
-            agrees = rb.upper_bound >= bound.lower
+            # a feasible witness below either predicted minimum disproves it
+            agrees = (
+                rb.upper_bound >= bound.lower
+                and len({node for edge in rb.witness for node in edge}) >= centrals_required
+            )
             rows.append(
                 {
                     "k": k,
                     "bound": _bound_row(bound),
-                    "centrals_required": thresholds.central_threshold(r, n, k),
+                    "centrals_required": centrals_required,
                     "upper_bound": rb.upper_bound,
                     "witness": [list(e) for e in rb.witness],
                     "agrees": agrees,

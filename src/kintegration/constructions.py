@@ -43,11 +43,14 @@ class QuotientGraph:
     def __post_init__(self) -> None:
         require_int("r", self.r, 1)
         seen: set[Edge] = set()
-        for u, v in self.edges:
+        for edge in self.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise InvalidParamsError(f"quotient edge {edge!r} is not a pair")
+            u, v = edge
+            require_int("quotient endpoint", u, 0, maximum=self.r - 1)
+            require_int("quotient endpoint", v, 0, maximum=self.r - 1)
             if u == v:
                 raise InvalidParamsError(f"quotient self-loop at {u}")
-            if not (0 <= u < self.r and 0 <= v < self.r):
-                raise InvalidParamsError(f"quotient edge ({u}, {v}) out of range for r={self.r}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InvalidParamsError(f"duplicate quotient edge ({u}, {v})")
@@ -66,10 +69,6 @@ class QuotientGraph:
     def diameter(self) -> int | None:
         """Exact diameter, or None when disconnected."""
         return metrics.diameter(self.adjacency)
-
-    @property
-    def is_connected(self) -> bool:
-        return self.diameter is not None
 
 
 def complete_quotient(r: int) -> QuotientGraph:
@@ -135,7 +134,6 @@ class Construction:
     claimed_k: int
     claimed_b: int
     claimed_c: int
-    quotient: QuotientGraph | None = None
 
 
 # generate holds the network whole, up to ~230 B an edge (complete join): ~2.3 GB at the limit
@@ -234,5 +232,4 @@ def extended_star(r: int, n: int, quotient: QuotientGraph) -> Construction:
         claimed_k=d + 2 if n >= 2 else d,
         claimed_b=len(quotient.edges),
         claimed_c=r if r > 1 else 0,
-        quotient=quotient,
     )

@@ -99,16 +99,6 @@ class CommunityGraph:
                 found.extend((u, v) for v in nbs if u < v and community_of[v] != cu)
         return EdgeCensus(tuple(found), frozenset(central), local_ends // 2)
 
-    @cached_property
-    def _adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nb) for nb in self.adjacency)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjacency_sets[u]
-
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
@@ -204,8 +194,9 @@ def is_locally_complete(
     missing: list[Edge] = []
     for members in g.community_members:
         for i, u in enumerate(members):
+            adjacent = set(g.adjacency[u])
             for v in members[i + 1 :]:
-                if not g.has_edge(u, v):
+                if v not in adjacent:
                     missing.append((u, v))
                     if len(missing) >= max_witnesses:
                         return False, missing

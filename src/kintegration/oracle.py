@@ -9,8 +9,13 @@ true minimum.
 There is one search, and it is symmetry-reduced: it skips candidate
 sets that are relabelings of an earlier one (nodes within a community
 are interchangeable, as are whole communities of equal size).
-Candidates are generated in lexicographic order under constraints that
-every orbit's lex-least member satisfies, so the search still visits
+Candidates are generated in lexicographic order under one rule that
+every orbit's lex-least member satisfies: a node may take its first
+bridge only once its gate holds one.  A node's gate is the previous
+slot of its community; for slot 0 it is slot 0 of the previous
+community when that has the same size, and otherwise there is none.
+So each community uses a prefix of its slots, and equal-size
+communities are opened in order.  The search therefore still visits
 the lex-least feasible set first and reports the same witness a full
 enumeration would; the tests hold it to the unreduced enumeration in
 ``tests/naive.py``.
@@ -53,15 +58,6 @@ class OracleVerdict:
     certified: bool
     exhausted_size: int | None
 
-    @property
-    def r(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def n(self) -> int | None:
-        """Common community size, or None when sizes are mixed."""
-        return self.sizes[0] if len(set(self.sizes)) == 1 else None
-
 
 @dataclass(frozen=True)
 class RandomizedBound:
@@ -92,37 +88,30 @@ class RowCheck:
 class _Instance:
     """Bitmask machinery for one community-size profile.
 
-    Node ids are consecutive per community; community c occupies
-    [offsets[c], offsets[c] + sizes[c]).  Sizes must come in ascending
-    order so that equal sizes form contiguous blocks.
+    Node ids are consecutive per community: slot s of a community that
+    starts at id o is node o + s.  Sizes must come in ascending order
+    so that equal sizes form contiguous blocks.  ``gate[u]`` is the node
+    that must hold a bridge before u may take its first one: slot s - 1
+    for s > 0, slot 0 of the previous community when it has the same
+    size, and otherwise the sentinel ``node_count``, which always counts
+    as holding one.
     """
 
     def __init__(self, sizes: tuple[int, ...]) -> None:
-        self.sizes = sizes
-        self.r = len(sizes)
         self.node_count = sum(sizes)
-        offsets: list[int] = []
-        total = 0
-        for s in sizes:
-            offsets.append(total)
-            total += s
-        self.offsets = tuple(offsets)
-        community_of: list[int] = []
-        for c, s in enumerate(sizes):
-            community_of.extend([c] * s)
-        self.community_of = tuple(community_of)
         self.full_mask = (1 << self.node_count) - 1
         # static local adjacency: each community is complete
         self.local_mask: list[int] = []
-        for u in range(self.node_count):
-            c = community_of[u]
-            cmask = ((1 << sizes[c]) - 1) << offsets[c]
-            self.local_mask.append(cmask & ~(1 << u))
-        # first community of each run of equal sizes
-        block_start: list[int] = []
-        for c, s in enumerate(sizes):
-            block_start.append(block_start[c - 1] if c > 0 and sizes[c - 1] == s else c)
-        self.block_start = tuple(block_start)
+        self.gate: list[int] = []
+        community_of: list[int] = []
+        start = 0
+        for c, size in enumerate(sizes):
+            cmask = ((1 << size) - 1) << start
+            self.local_mask.extend(cmask & ~(1 << u) for u in range(start, start + size))
+            community_of.extend([c] * size)
+            self.gate.append(start - size if c > 0 and sizes[c - 1] == size else self.node_count)
+            self.gate.extend(range(start, start + size - 1))
+            start += size
         self.universe: tuple[Edge, ...] = tuple(
             (u, v)
             for u in range(self.node_count)
@@ -206,13 +195,14 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         return OracleVerdict(ordered, k, len(witness), witness, 1, True, None)
 
     universe = inst.universe
-    start = inst.r - 1  # fewer bridges cannot connect r communities
+    gate = inst.gate
+    start = len(ordered) - 1  # fewer bridges cannot connect r communities
     examined = 0
-    badj = [0] * inst.node_count
+    # bridge masks plus the sentinel gate's entry, which is never 0
+    badj = [0] * inst.node_count + [-1]
     for m in range(start, len(universe) + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
-        used = [0] * inst.r  # used slots form a prefix per community
         chosen: list[Edge] = []
 
         def extend(start_idx: int) -> bool:
@@ -230,34 +220,18 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
             remaining = m - len(chosen)
             for idx in range(start_idx, len(universe) - remaining + 1):
                 u, v = universe[idx]
-                cu = inst.community_of[u]
-                su = u - inst.offsets[cu]
-                if su > used[cu]:
+                if not (badj[u] or badj[gate[u]]):
                     continue
-                if used[cu] == 0 and cu != inst.block_start[cu] and used[cu - 1] == 0:
-                    continue
-                bumped_u = su == used[cu]
-                if bumped_u:
-                    used[cu] += 1
-                cv = inst.community_of[v]
-                sv = v - inst.offsets[cv]
-                if sv <= used[cv] and not (
-                    used[cv] == 0 and cv != inst.block_start[cv] and used[cv - 1] == 0
-                ):
-                    if bumped_v := sv == used[cv]:
-                        used[cv] += 1
-                    badj[u] |= 1 << v
+                # u's bridge is set first, so it can open v's gate
+                badj[u] |= 1 << v
+                if badj[v] or badj[gate[v]]:
                     badj[v] |= 1 << u
                     chosen.append((u, v))
                     if extend(idx + 1):
                         return True
                     chosen.pop()
-                    badj[u] &= ~(1 << v)
                     badj[v] &= ~(1 << u)
-                    if bumped_v:
-                        used[cv] -= 1
-                if bumped_u:
-                    used[cu] -= 1
+                badj[u] &= ~(1 << v)
             return False
 
         extend(0)

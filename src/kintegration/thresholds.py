@@ -40,12 +40,6 @@ class Bound:
     def exact(self) -> bool:
         return self.lower == self.upper
 
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise InvalidParamsError(f"bound [{self.lower}, {self.upper}] has no single value")
-        return self.lower
-
 
 @dataclass(frozen=True)
 class SegregationVerdict:

@@ -63,7 +63,9 @@ def test_criterion_2_construction_certificates():
                 g = construction.graph
                 measured = (len(bridges(g)), len(central_nodes(g)), integration_level(g))
                 claimed = (construction.claimed_b, construction.claimed_c, construction.claimed_k)
-                table = (bridge_threshold(r, n, k).value, central_threshold(r, n, k), k)
+                bound = bridge_threshold(r, n, k)
+                assert bound.exact
+                table = (bound.lower, central_threshold(r, n, k), k)
                 assert measured == table, (construction.family, r, n, measured, table)
                 assert claimed == table, (construction.family, r, n, claimed, table)
     assert time.perf_counter() - start < 10.0
@@ -75,7 +77,9 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
         for k in (1, 2, 3):
             verdict = min_bridges_exhaustive(r, n, k)
             assert verdict.certified
-            assert verdict.min_bridges == bridge_threshold(r, n, k).value, (r, n, k)
+            bound = bridge_threshold(r, n, k)
+            assert bound.exact
+            assert verdict.min_bridges == bound.lower, (r, n, k)
         assert cli.main(["certify", "-r", str(r), "-n", str(n), "--k", "1,2,3"]) == 0
         capsys.readouterr()
 

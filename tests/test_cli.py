@@ -227,6 +227,16 @@ def test_certify_randomized_disagreement_exits_3(capsys, monkeypatch):
     assert json.loads(out)["result"] == "disagree"
 
 
+def test_certify_randomized_too_few_centrals_exits_3(capsys, monkeypatch):
+    # a feasible witness with fewer centrals than the table demands disproves the central count
+    monkeypatch.setattr(cli.thresholds, "central_threshold", lambda r, n, k: 99)
+    code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", "randomized"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["result"] == "disagree"
+    assert payload["rows"][0]["agrees"] is False
+
+
 def test_generate_round_trip(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(

@@ -27,6 +27,9 @@ def test_quotient_validation():
         QuotientGraph(3, ((0, 3),))
     with pytest.raises(InvalidParamsError):
         QuotientGraph(3, ((0, 1), (1, 0)))
+    for not_a_pair in ((0, 1, 2), (0,), 1, "01"):
+        with pytest.raises(InvalidParamsError, match="not a pair"):
+            QuotientGraph(3, (not_a_pair,))
     assert QuotientGraph(3, ((2, 0),)).edges == ((0, 2),)
 
 
@@ -38,7 +41,6 @@ def test_quotient_diameters():
     assert cycle_quotient(6).diameter == 3
     assert complete_quotient(1).diameter == 0
     assert QuotientGraph(2, ()).diameter is None
-    assert not QuotientGraph(2, ()).is_connected
 
 
 def test_cycle_needs_three_communities():

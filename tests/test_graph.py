@@ -79,8 +79,8 @@ def test_sample_structure(sample_graph):
 def test_adjacency_queries(sample_graph):
     g = sample_graph
     id_of = {t: i for i, t in enumerate(g.tokens)}
-    assert g.has_edge(id_of["02"], id_of["12"])
-    assert not g.has_edge(id_of["01"], id_of["12"])
+    assert id_of["12"] in g.adjacency[id_of["02"]]
+    assert id_of["12"] not in g.adjacency[id_of["01"]]
     assert g.is_bridge(id_of["02"], id_of["12"])
     assert not g.is_bridge(id_of["01"], id_of["02"])
     assert g.degree(id_of["02"]) == 4
@@ -101,7 +101,7 @@ def test_is_locally_complete_caps_witnesses():
     ok, missing = is_locally_complete(bare, max_witnesses=3)
     assert not ok
     assert len(missing) == 3
-    assert all(not bare.has_edge(u, v) for u, v in missing)
+    assert all(v not in bare.adjacency[u] for u, v in missing)
 
 
 def test_islands_helper_is_locally_complete():

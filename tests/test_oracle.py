@@ -59,11 +59,37 @@ def test_symmetry_reduction_changes_nothing_but_work(sizes, k):
     assert verdict.sets_examined <= naive.bridge_set_count(ordered, len(sizes) - 1, expected_count)
 
 
+# sets examined, last size ruled out, minimum and witness, pinned so that a
+# change to the symmetry rule that keeps the minima still shows up
+@pytest.mark.parametrize(
+    "sizes,k,budget,examined,exhausted,minimum,witness",
+    [
+        ((2, 3, 4), 2, None, 1659, 4, 5, ((0, 5), (1, 5), (2, 5), (3, 5), (4, 5))),
+        ((1, 2, 2), 2, None, 15, 2, 3, ((0, 1), (0, 3), (2, 4))),
+        ((3, 4, 4), 3, None, 25, 2, 3, ((0, 3), (0, 7), (3, 7))),
+        ((2, 2, 2, 2), 3, None, 388, 4, 5, ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6))),
+        ((3, 3, 3), 2, None, 1942, 5, 6, ((0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8))),
+        ((1, 1, 2, 2), 2, None, 164, 3, 4, ((0, 2), (1, 2), (2, 4), (2, 5))),
+        ((5, 5, 5, 5), 3, 400_000, 31488, 5, 6, ((0, 5), (0, 10), (0, 15), (5, 10), (5, 15), (10, 15))),
+        ((4, 4, 4, 4), 2, 300, 300, 3, None, None),
+    ],
+)
+def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, witness):
+    verdict = min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
+    assert verdict.sets_examined == examined
+    assert verdict.exhausted_size == exhausted
+    assert verdict.min_bridges == minimum
+    assert verdict.witness == witness
+    assert verdict.certified is (minimum is not None)
+
+
 def test_certified_minima_match_threshold_table():
     for r, n in [(2, 2), (2, 3), (3, 3)]:
         for k in (1, 2, 3):
             verdict = min_bridges_exhaustive(r, n, k)
-            assert verdict.min_bridges == bridge_threshold(r, n, k).value
+            bound = bridge_threshold(r, n, k)
+            assert bound.exact
+            assert verdict.min_bridges == bound.lower
             assert verdict.certified
 
 

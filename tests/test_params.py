@@ -41,6 +41,8 @@ _CASES = {
     "extended_star.r": (extended_star, lambda x: (x, 2, complete_quotient(1)), 1),
     "extended_star.n": (extended_star, lambda x: (2, x, complete_quotient(2)), 1),
     "QuotientGraph.r": (QuotientGraph, lambda x: (x, ()), 1),
+    "QuotientGraph.edges.u": (QuotientGraph, lambda x: (3, ((x, 1),)), 0),
+    "QuotientGraph.edges.v": (QuotientGraph, lambda x: (3, ((1, x),)), 0),
     "bounded_bfs.k": (bounded_bfs, lambda x: (_G, 0, x), 0),
     "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 0),
     "build_report.ks": (build_report, lambda x: (_G, [1, x]), 0),

@@ -20,10 +20,7 @@ from helpers import islands, islands_of_sizes
 
 def test_bound_exactness():
     assert Bound(3, 3).exact
-    assert Bound(3, 3).value == 3
     assert not Bound(3, 6).exact
-    with pytest.raises(InvalidParamsError):
-        Bound(3, 6).value
     with pytest.raises(InvalidParamsError):
         Bound(4, 3)
 
@@ -36,16 +33,16 @@ def test_k1_formulas():
 
 
 def test_k2_formulas():
-    assert bridge_threshold(8, 1000, 2).value == 7000
+    assert bridge_threshold(8, 1000, 2) == Bound(7000, 7000)
     assert central_threshold(8, 1000, 2) == 7001
-    assert bridge_threshold(8, 9, 2).value == 63
+    assert bridge_threshold(8, 9, 2) == Bound(63, 63)
     assert central_threshold(8, 9, 2) == 64
 
 
 def test_k3_formulas():
-    assert bridge_threshold(8, 1000, 3).value == 28
+    assert bridge_threshold(8, 1000, 3) == Bound(28, 28)
     assert central_threshold(8, 1000, 3) == 8
-    assert bridge_threshold(8, 9, 3).value == 28
+    assert bridge_threshold(8, 9, 3) == Bound(28, 28)
     assert central_threshold(8, 9, 3) == 8
 
 
@@ -101,10 +98,10 @@ def test_validation():
 
 def test_threshold_rows_table():
     rows = threshold_rows(2, 2, 3)
-    assert [(row.k, row.bridges.value, row.centrals) for row in rows] == [
-        (1, 4, 4),
-        (2, 2, 3),
-        (3, 1, 2),
+    assert [(row.k, row.bridges, row.centrals) for row in rows] == [
+        (1, Bound(4, 4), 4),
+        (2, Bound(2, 2), 3),
+        (3, Bound(1, 1), 2),
     ]
 
 
