@@ -22,13 +22,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import constructions, fileio, oracle, thresholds
 from . import graph as graphmod
 from . import metrics
-from .errors import InvalidParamsError, KIntegrationError, ModelViolationError, require_int
+from .errors import InvalidParamsError, KIntegrationError, ModelViolationError
 
 SCHEMA_VERSION = 1
 
@@ -40,33 +39,15 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def certificate_payload(report: metrics.IntegrationReport) -> dict:
+def certificate_payload(g: graphmod.CommunityGraph, k_star: int | None) -> dict:
     """The quantities a construction is certified by; round-trips through analyze."""
     return {
-        "b": report.bridge_count,
-        "c": report.central_count,
-        "k_star": report.k_star,
-        "node_count": report.node_count,
-        "r": report.r,
+        "b": len(g.census.bridges),
+        "c": len(g.census.central),
+        "k_star": k_star,
+        "node_count": g.node_count,
+        "r": g.community_count,
     }
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    edges_path: str
-    communities_path: str
-    ks: tuple[int, ...]
-    fmt: str = "json"
-    localize: bool = False
-    strict_model: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.ks:
-            raise InvalidParamsError("need at least one integration level to check")
-        for k in self.ks:
-            require_int("k", k, 1)
-        if self.fmt not in {"json", "csv", "text"}:
-            raise InvalidParamsError(f"unknown output format {self.fmt!r}")
 
 
 def _verdict_row(g: graphmod.CommunityGraph, verdict: metrics.KVerdict) -> dict:
@@ -129,17 +110,17 @@ def _data_quality(g: graphmod.CommunityGraph) -> dict:
     }
 
 
-def cmd_analyze(config: AnalysisConfig) -> dict:
-    g = fileio.load_graph(config.edges_path, config.communities_path)
-    if config.localize:
+def cmd_analyze(edges_path, communities_path, ks, localize: bool = False, strict_model: bool = False) -> dict:
+    g = fileio.load_graph(edges_path, communities_path)
+    if localize:
         g = graphmod.localize_complete(g)
     try:
         shape = thresholds.model_shape(g)
     except ModelViolationError:
-        if config.strict_model:
+        if strict_model:
             raise
         shape = None
-    report = metrics.build_report(g, config.ks)
+    report = metrics.build_report(g, ks)
     quality = _data_quality(g)
     if shape is None:
         quality["notes"].append("threshold table omitted: communities do not share one size n >= r")
@@ -151,8 +132,8 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
             "community_count": g.community_count,
             "edge_count": g.edge_count,
             "local_edge_count": g.census.local_edge_count,
-            "bridge_count": report.bridge_count,
-            "central_node_count": report.central_count,
+            "bridge_count": len(g.census.bridges),
+            "central_node_count": len(g.census.central),
             "nodes": list(g.tokens),
             "communities": [
                 {"community": g.community_tokens[c], "size": size}
@@ -166,9 +147,9 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
             {"k": k, "reached": list(counts)}
             for k, counts in sorted(report.reach_profile.items())
         ],
-        "thresholds": _threshold_section(g, shape, config.ks),
+        "thresholds": _threshold_section(g, shape, ks),
         "data_quality": quality,
-        "certificate": certificate_payload(report),
+        "certificate": certificate_payload(g, report.k_star),
     }
 
 
@@ -211,8 +192,7 @@ def cmd_generate(
 ) -> dict:
     built = build_construction(family, r, n, quotient_spec)
     g = built.graph
-    report = metrics.build_report(g, ())
-    cert = certificate_payload(report)
+    cert = certificate_payload(g, metrics.build_report(g, ()).k_star)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # every file is replaced atomically and the certificate goes last, so if
@@ -545,15 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
-    config = AnalysisConfig(
-        edges_path=args.edges,
-        communities_path=args.communities,
-        ks=args.k,
-        fmt=args.format,
-        localize=args.localize,
-        strict_model=args.strict_model,
-    )
-    print(render_analyze(cmd_analyze(config), config.fmt))
+    payload = cmd_analyze(args.edges, args.communities, args.k, args.localize, args.strict_model)
+    print(render_analyze(payload, args.format))
     return 0
 
 

@@ -11,6 +11,9 @@ Three families, each meeting the corresponding threshold row exactly:
   (or d-integrated in the degenerate n=1 case, where the network is
   the quotient itself).
 
+A single community is one clique, so every family is then 1-integrated
+(0 with one node); so is a two-star on two single-node communities.
+
 Every construction is locally complete. Hubs and central nodes are
 always the lowest node id of their community, so outputs are
 deterministic.
@@ -175,7 +178,7 @@ def _assemble(r: int, n: int, bridge_edges: Iterable[Edge]) -> CommunityGraph:
 
 
 def complete_join(r: int, n: int) -> Construction:
-    """Every cross-community pair bridged; 1-integrated."""
+    """Every cross-community pair bridged; 1-integrated (0 for a single node)."""
     require_int("r", r, 1)
     require_int("n", n, 1)
     b = n * n * r * (r - 1) // 2
@@ -189,7 +192,7 @@ def complete_join(r: int, n: int) -> Construction:
     return Construction(
         graph=_assemble(r, n, bridge_edges),
         family="complete-join",
-        claimed_k=1,
+        claimed_k=1 if r * n > 1 else 0,
         claimed_b=b,
         claimed_c=r * n if r > 1 else 0,
     )
@@ -205,7 +208,7 @@ def two_star(r: int, n: int) -> Construction:
     return Construction(
         graph=_assemble(r, n, bridge_edges),
         family="two-star",
-        claimed_k=2,
+        claimed_k=2 if r > 1 and r * n > 2 else min(r * n - 1, 1),
         claimed_b=b,
         claimed_c=(r - 1) * n + 1 if r > 1 else 0,
     )
@@ -214,7 +217,7 @@ def two_star(r: int, n: int) -> Construction:
 def extended_star(r: int, n: int, quotient: QuotientGraph) -> Construction:
     """One central node per community, bridged along the quotient edges.
 
-    (d+2)-integrated for quotient diameter d when n >= 2; with n = 1
+    (d+2)-integrated for quotient diameter d when r, n >= 2; with n = 1
     the network degenerates to the quotient itself and is d-integrated.
     """
     require_int("r", r, 1)
@@ -229,7 +232,7 @@ def extended_star(r: int, n: int, quotient: QuotientGraph) -> Construction:
     return Construction(
         graph=_assemble(r, n, bridge_edges),
         family="extended-star",
-        claimed_k=d + 2 if n >= 2 else d,
+        claimed_k=d if n == 1 else 1 if r == 1 else d + 2,
         claimed_b=len(quotient.edges),
         claimed_c=r if r > 1 else 0,
     )

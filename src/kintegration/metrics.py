@@ -45,12 +45,8 @@ class KVerdict:
 
 @dataclass(frozen=True)
 class IntegrationReport:
-    """Per-graph summary: counts, integration level, per-k verdicts."""
+    """Per-graph distance facts: integration level, per-k verdicts, reach counts."""
 
-    r: int
-    node_count: int
-    bridge_count: int
-    central_count: int
     k_star: int | None
     per_k: tuple[KVerdict, ...]
     reach_profile: dict[int, tuple[int, ...]]
@@ -237,7 +233,7 @@ def is_k_integrated(g: CommunityGraph, k: int) -> KVerdict:
 
 
 def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
-    """Aggregate B, C, k*, per-k verdicts and reach profile in one pass."""
+    """k*, per-k verdicts and reach profile from one run of the distance kernel."""
     ks = list(ks)
     for k in ks:
         require_int("k", k, 0)
@@ -255,10 +251,6 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
             verdicts[k] = q.verdict(k, balls)
             reach[k] = q.reach_counts(k, balls)
     return IntegrationReport(
-        r=g.community_count,
-        node_count=g.node_count,
-        bridge_count=len(g.census.bridges),
-        central_count=len(g.census.central),
         k_star=q.k_star(_closure_diameter(level, balls)),
         per_k=tuple(verdicts[k] for k in ks),
         reach_profile={k: reach[k] for k in ks},

@@ -37,7 +37,7 @@ from .graph import Edge
 from .thresholds import Bound, bridge_threshold, central_threshold
 
 DEFAULT_BUDGET = 2_000_000
-# the cross pairs sit in one tuple (~100 B a pair) that each randomized swap copies
+# the cross pairs sit in one tuple, ~100 B a pair
 MAX_CROSS_PAIRS = 100_000
 
 
@@ -47,37 +47,36 @@ class OracleVerdict:
 
     ``min_bridges`` is None when the budget ran out first; then
     ``exhausted_size`` is the largest candidate-set size fully proven
-    infeasible.  ``certified`` is True only when the minimum is exact.
+    infeasible.
     """
 
     sizes: tuple[int, ...]
-    k: int
     min_bridges: int | None
     witness: tuple[Edge, ...] | None
     sets_examined: int
-    certified: bool
     exhausted_size: int | None
+
+    @property
+    def certified(self) -> bool:
+        """True only when the minimum is exact."""
+        return self.min_bridges is not None
 
 
 @dataclass(frozen=True)
 class RandomizedBound:
     """Feasible (hence upper-bounding) bridge set found by local search."""
 
-    sizes: tuple[int, ...]
-    k: int
-    upper_bound: int
     witness: tuple[Edge, ...]
-    trials: int
-    seed: int
+
+    @property
+    def upper_bound(self) -> int:
+        return len(self.witness)
 
 
 @dataclass(frozen=True)
 class RowCheck:
     """Certified search outcome compared against one threshold row."""
 
-    r: int
-    n: int
-    k: int
     bound: Bound
     centrals_required: int
     verdict: OracleVerdict
@@ -184,7 +183,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     ordered = tuple(sorted(sizes))
     if len(ordered) == 1:
         # one complete community has diameter at most 1 already
-        return OracleVerdict(ordered, k, 0, (), 0, True, None)
+        return OracleVerdict(ordered, 0, (), 0, None)
     inst = _instance(ordered)
     if k == 1:
         # diameter <= 1 means complete, so every cross pair must be
@@ -192,7 +191,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         witness = inst.universe
         if not inst.is_k_integrated(inst.bridge_adjacency(witness), 1):
             raise AssertionError("internal: complete join failed its own check")
-        return OracleVerdict(ordered, k, len(witness), witness, 1, True, None)
+        return OracleVerdict(ordered, len(witness), witness, 1, None)
 
     universe = inst.universe
     gate = inst.gate
@@ -236,11 +235,11 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
 
         extend(0)
         if found is not None:
-            return OracleVerdict(ordered, k, m, found, examined, True, m - 1)
+            return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:
-            return OracleVerdict(ordered, k, None, None, examined, False, m - 1)
+            return OracleVerdict(ordered, None, None, examined, m - 1)
     # unreachable for k >= 1: the full cross set is always feasible
-    return OracleVerdict(ordered, k, None, None, examined, False, len(universe))
+    return OracleVerdict(ordered, None, None, examined, len(universe))
 
 
 def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
@@ -268,13 +267,10 @@ def min_bridges_randomized(
     require_int("n", n, 1)
     require_int("k", k, 1)
     require_int("trials", trials, 1)
-    sizes = (n,) * r
-    if r == 1:
-        return RandomizedBound(sizes, k, 0, (), trials, seed)
-    inst = _instance(sizes)
-    if k == 1:
-        # forced: every cross pair must be present
-        return RandomizedBound(sizes, k, len(inst.universe), inst.universe, trials, seed)
+    if r == 1 or k == 1:
+        # the exact search settles both at once: no bridges, or every cross pair
+        return RandomizedBound(min_bridges_exhaustive(r, n, k).witness)
+    inst = _instance((n,) * r)
     # the construction meeting this k row; its node ids follow the search's layout
     if k == 2:
         built = two_star(r, n)
@@ -305,11 +301,18 @@ def min_bridges_randomized(
         for _ in range(max(10, 2 * len(current))):
             if len(current) <= floor:
                 break
-            e_out = rng.choice(sorted(current))
-            pool = [e for e in universe if e not in current]
-            if not pool:
+            ordered = sorted(current)
+            e_out = rng.choice(ordered)
+            if len(ordered) == len(universe):
                 break
-            e_in = rng.choice(pool)
+            # the i-th unused pair, drawn by the RNG call rng.choice(unused) makes;
+            # universe and ordered are sorted, so step i past each used pair up to it
+            i = rng.choice(range(len(universe) - len(ordered)))
+            for e in ordered:
+                if e > universe[i]:
+                    break
+                i += 1
+            e_in = universe[i]
             candidate = (current - {e_out}) | {e_in}
             if not inst.is_k_integrated(inst.bridge_adjacency(candidate), k):
                 continue
@@ -318,7 +321,7 @@ def min_bridges_randomized(
                 current = pruned
         if len(current) < len(best):
             best = tuple(sorted(current))
-    return RandomizedBound(sizes, k, len(best), best, trials, seed)
+    return RandomizedBound(best)
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:
@@ -333,10 +336,10 @@ def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) ->
     centrals_required = central_threshold(r, n, k)
     verdict = min_bridges_exhaustive(r, n, k, budget=budget)
     if verdict.min_bridges is None:
-        return RowCheck(r, n, k, bound, centrals_required, verdict, None, None)
+        return RowCheck(bound, centrals_required, verdict, None, None)
     witness_centrals = len({node for edge in verdict.witness for node in edge})
     agrees = (
         bound.lower <= verdict.min_bridges <= bound.upper
         and witness_centrals >= centrals_required
     )
-    return RowCheck(r, n, k, bound, centrals_required, verdict, witness_centrals, agrees)
+    return RowCheck(bound, centrals_required, verdict, witness_centrals, agrees)

@@ -25,7 +25,7 @@ from kintegration import (
     segregation_verdict,
     two_star,
 )
-from kintegration.cli import AnalysisConfig, canonical_json, cmd_analyze, cmd_generate
+from kintegration.cli import canonical_json, cmd_analyze, cmd_generate
 
 import naive
 from helpers import add_edge, id_edges, islands, random_community_graph, remove_edge
@@ -85,12 +85,10 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
 
     # a certified mismatch must surface as exit code 3
     fake_verdict = OracleVerdict(
-        sizes=(2, 2), k=2, min_bridges=1, witness=((0, 2),), sets_examined=5,
-        certified=True, exhausted_size=0,
+        sizes=(2, 2), min_bridges=1, witness=((0, 2),), sets_examined=5, exhausted_size=0,
     )
     fake_row = RowCheck(
-        r=2, n=2, k=2, bound=Bound(2, 2), centrals_required=3,
-        verdict=fake_verdict, witness_centrals=2, agrees=False,
+        bound=Bound(2, 2), centrals_required=3, verdict=fake_verdict, witness_centrals=2, agrees=False,
     )
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     assert cli.main(["certify", "-r", "2", "-n", "2", "--k", "2"]) == 3
@@ -213,11 +211,7 @@ def test_criterion_8_certificate_round_trip(tmp_path):
         written = (out_dir / "certificate.json").read_bytes()
         assert written == (canonical_json(payload["measured"]) + "\n").encode()
 
-        analyzed = cmd_analyze(
-            AnalysisConfig(
-                str(out_dir / "edges.txt"), str(out_dir / "communities.txt"), (payload["claimed"]["k"],)
-            )
-        )
+        analyzed = cmd_analyze(out_dir / "edges.txt", out_dir / "communities.txt", (payload["claimed"]["k"],))
         assert (canonical_json(analyzed["certificate"]) + "\n").encode() == written
         assert json.loads(written)["k_star"] == payload["claimed"]["k"]
     assert time.perf_counter() - start < 10.0

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 from kintegration import Bound, OracleVerdict, RowCheck, cli, fileio
-from kintegration.cli import AnalysisConfig, canonical_json, cmd_analyze, main
-from kintegration.errors import InvalidParamsError
+from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
 
 SAMPLE = ["--edges", "tests/data/sample_edges.txt", "--communities", "tests/data/sample_communities.txt"]
@@ -175,6 +174,12 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["certify", "-r", "2", "-n", "2", "--k", "two"]) == 1
     capsys.readouterr()
+    assert main(["analyze", *SAMPLE, "--format", "yaml"]) == 1
+    capsys.readouterr()
+    assert main(["analyze", *SAMPLE, "--k", ""]) == 1
+    capsys.readouterr()
+    assert main(["analyze", *SAMPLE, "--k", "0"]) == 1
+    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):
@@ -194,12 +199,10 @@ def test_certify_budget_exhaustion_exits_2(capsys):
 def test_certify_disagreement_exits_3(capsys, monkeypatch):
     # fabricate an oracle that contradicts the table
     fake_verdict = OracleVerdict(
-        sizes=(2, 2), k=2, min_bridges=1, witness=((0, 2),), sets_examined=7,
-        certified=True, exhausted_size=0,
+        sizes=(2, 2), min_bridges=1, witness=((0, 2),), sets_examined=7, exhausted_size=0,
     )
     fake_row = RowCheck(
-        r=2, n=2, k=2, bound=Bound(2, 2), centrals_required=3,
-        verdict=fake_verdict, witness_centrals=2, agrees=False,
+        bound=Bound(2, 2), centrals_required=3, verdict=fake_verdict, witness_centrals=2, agrees=False,
     )
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     code, out, _ = run(capsys, ["certify", "-r", "2", "-n", "2", "--k", "2"])
@@ -358,20 +361,8 @@ def test_thresholds_model_violation_exits_1(capsys):
     assert "n >= r" in err
 
 
-def test_analysis_config_validation():
-    with pytest.raises(InvalidParamsError):
-        AnalysisConfig("e", "c", ())
-    with pytest.raises(InvalidParamsError):
-        AnalysisConfig("e", "c", (0,))
-    with pytest.raises(InvalidParamsError):
-        AnalysisConfig("e", "c", (1,), fmt="yaml")
-
-
 def test_cmd_analyze_direct(sample_graph, data_dir):
-    config = AnalysisConfig(
-        str(data_dir / "sample_edges.txt"), str(data_dir / "sample_communities.txt"), (5,)
-    )
-    payload = cmd_analyze(config)
+    payload = cmd_analyze(data_dir / "sample_edges.txt", data_dir / "sample_communities.txt", (5,))
     assert payload["per_k"][0]["integrated"] is True
     assert payload["graph"]["node_count"] == 12
 

@@ -125,6 +125,19 @@ def test_single_community_families():
         assert integration_level(built.graph) == 1
 
 
+def test_claims_match_measurements_on_small_instances():
+    # covers the degenerate shapes too: one community, single-node communities
+    for r in range(1, 6):
+        quotients = [complete_quotient(r), star_quotient(r), path_quotient(r)]
+        if r >= 3:
+            quotients.append(cycle_quotient(r))
+        for n in range(1, 6):
+            for built in [complete_join(r, n), two_star(r, n), *(extended_star(r, n, q) for q in quotients)]:
+                g = built.graph
+                claimed = (built.claimed_b, built.claimed_c, built.claimed_k)
+                assert claimed == (len(bridges(g)), len(central_nodes(g)), integration_level(g)), (built.family, r, n)
+
+
 def test_tokens_are_zero_padded_in_layout_order():
     g = extended_star(4, 3, star_quotient(4)).graph
     assert g.tokens == tuple(str(u).zfill(2) for u in range(12))

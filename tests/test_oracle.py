@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from kintegration import (
@@ -147,6 +149,22 @@ def test_randomized_upper_bound_is_sound():
 def test_randomized_finds_exact_minimum_on_easy_cases():
     assert min_bridges_randomized(2, 2, 3, trials=4, seed=0).upper_bound == 1
     assert min_bridges_randomized(3, 2, 2, trials=10, seed=1).upper_bound == 4
+
+
+@pytest.mark.parametrize(
+    "r,n,k,seed,trials,witness",
+    [
+        (8, 8, 2, 1, 2, tuple((0, v) for v in range(8, 64))),
+        (8, 8, 3, 1, 2, tuple(itertools.combinations(range(0, 64, 8), 2))),
+        (4, 1, 3, 2, 3, ((0, 1), (1, 3), (2, 3))),
+        (4, 2, 3, 0, 3, ((0, 2), (0, 4), (0, 6), (2, 6), (5, 6))),
+        (5, 2, 3, 1, 3, ((0, 3), (0, 8), (1, 6), (2, 4), (4, 6), (4, 8), (7, 8))),
+        (6, 2, 3, 1, 3, ((0, 3), (0, 4), (0, 8), (0, 11), (2, 4), (4, 6), (4, 7), (4, 8), (4, 10))),
+    ],
+)
+def test_randomized_witness_is_pinned(r, n, k, seed, trials, witness):
+    # the swaps draw from the RNG in a fixed order, so a seed names one witness
+    assert min_bridges_randomized(r, n, k, trials=trials, seed=seed).witness == witness
 
 
 def test_randomized_k1_and_r1():

@@ -1,7 +1,8 @@
-"""Every ``kintegration ...`` example in README.md prints the output shown below it."""
+"""Every ``kintegration ...`` example in README.md prints the output shown below it, and the Library code runs."""
 
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from kintegration.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 # a shell block holding one command, then the plain block with its output
 EXAMPLE = re.compile(r"```sh\n(kintegration [^\n]*)\n```\n\n```\n(.*?)```\n", re.DOTALL)
+LIBRARY = re.compile(r"## Library\n\n```python\n(.*?)```\n", re.DOTALL)
 EXAMPLES = [
     pytest.param(command, expected, id=shlex.split(command)[1])
     for command, expected in EXAMPLE.findall(README.read_text(encoding="utf-8"))
@@ -29,3 +31,13 @@ def test_readme_example_prints_its_output(command, expected, data_dir, capsys, t
     monkeypatch.chdir(tmp_path)
     code = main([str(inputs.get(arg, arg)) for arg in shlex.split(command)[1:]])
     assert (code, capsys.readouterr().out) == (0, expected)
+
+
+def test_readme_library_code_runs(data_dir, capsys, tmp_path, monkeypatch):
+    # the code loads edges.txt and communities.txt from the working directory
+    shutil.copy(data_dir / "sample_edges.txt", tmp_path / "edges.txt")
+    shutil.copy(data_dir / "sample_communities.txt", tmp_path / "communities.txt")
+    monkeypatch.chdir(tmp_path)
+    (code,) = LIBRARY.findall(README.read_text(encoding="utf-8"))
+    exec(code, {})
+    assert "Bound(lower=30, upper=30)" in capsys.readouterr().out.splitlines()
