@@ -174,12 +174,6 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["certify", "-r", "2", "-n", "2", "--k", "two"]) == 1
     capsys.readouterr()
-    assert main(["analyze", *SAMPLE, "--format", "yaml"]) == 1
-    capsys.readouterr()
-    assert main(["analyze", *SAMPLE, "--k", ""]) == 1
-    capsys.readouterr()
-    assert main(["analyze", *SAMPLE, "--k", "0"]) == 1
-    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):
@@ -359,6 +353,19 @@ def test_thresholds_model_violation_exits_1(capsys):
     code, _, err = run(capsys, ["thresholds", "-r", "5", "-n", "3"])
     assert code == 1
     assert "n >= r" in err
+
+
+def test_analysis_config_validation(capsys):
+    # an empty level list, a level below 1 and an unknown format are refused at parsing
+    for extra, message in (
+        (["--k", ""], "expected comma-separated integers"),
+        (["--k", "0"], "integration levels must be >= 1"),
+        (["--format", "yaml"], "invalid choice: 'yaml'"),
+    ):
+        code, out, err = run(capsys, ["analyze", *SAMPLE, *extra])
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 def test_cmd_analyze_direct(sample_graph, data_dir):
