@@ -20,16 +20,29 @@ the lex-least feasible set first and reports the same witness a full
 enumeration would; the tests hold it to the unreduced enumeration in
 ``tests/naive.py``.
 
-Candidate counts grow combinatorially, so the search takes a leaf
-budget.  Exceeding it returns a partial verdict (min_bridges is None)
-rather than raising: the caller learns which sizes were fully ruled
-out.
+A check grows every node's ball at once as a bitset: each round gives a
+community's members the union of its balls (a community is a clique),
+then each bridge adds its partner's old ball, for min(k, nodes - 1)
+rounds; the set is k-integrated when every k-ball is full.  A leaf
+P + (u, v) is decided from its parent's balls: a bridge with both ends
+beyond k - 1 hops of a source brings nothing within k hops of it, so
+the leaf is refuted without a check when such a source's k-ball in P
+is not full.  Only the other leaves get a full check.
+
+Candidate counts grow combinatorially, so the search takes a budget of
+leaves, refuted ones included.  Exceeding it returns a partial verdict
+(min_bridges is None) rather than raising: the caller learns which
+sizes were fully ruled out.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .constructions import complete_quotient, extended_star, star_quotient, two_star
 from .errors import InvalidParamsError, require_int
@@ -39,6 +52,8 @@ from .thresholds import Bound, bridge_threshold, central_threshold
 DEFAULT_BUDGET = 2_000_000
 # the cross pairs sit in one tuple, ~100 B a pair
 MAX_CROSS_PAIRS = 100_000
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,7 +100,7 @@ class RowCheck:
 
 
 class _Instance:
-    """Bitmask machinery for one community-size profile.
+    """Ball kernel and gates for one community-size profile.
 
     Node ids are consecutive per community: slot s of a community that
     starts at id o is node o + s.  Sizes must come in ascending order
@@ -99,60 +114,53 @@ class _Instance:
     def __init__(self, sizes: tuple[int, ...]) -> None:
         self.node_count = sum(sizes)
         self.full_mask = (1 << self.node_count) - 1
-        # static local adjacency: each community is complete
-        self.local_mask: list[int] = []
+        self.spans: list[tuple[int, int]] = []
         self.gate: list[int] = []
-        community_of: list[int] = []
         start = 0
         for c, size in enumerate(sizes):
-            cmask = ((1 << size) - 1) << start
-            self.local_mask.extend(cmask & ~(1 << u) for u in range(start, start + size))
-            community_of.extend([c] * size)
+            self.spans.append((start, start + size))
             self.gate.append(start - size if c > 0 and sizes[c - 1] == size else self.node_count)
             self.gate.extend(range(start, start + size - 1))
             start += size
         self.universe: tuple[Edge, ...] = tuple(
-            (u, v)
-            for u in range(self.node_count)
-            for v in range(u + 1, self.node_count)
-            if community_of[u] != community_of[v]
+            (u, v) for lo, hi in self.spans for u in range(lo, hi) for v in range(hi, self.node_count)
         )
 
-    def bridge_adjacency(self, edges) -> list[int]:
-        badj = [0] * self.node_count
+    def grow(self, balls: list[int], edges) -> list[int]:
+        """Every node's ball one hop wider, given the bridges ``edges``."""
+        grown: list[int] = []
+        for lo, hi in self.spans:
+            grown += [reduce(or_, balls[lo:hi])] * (hi - lo)
         for u, v in edges:
-            badj[u] |= 1 << v
-            badj[v] |= 1 << u
-        return badj
+            grown[u] |= balls[v]
+            grown[v] |= balls[u]
+        return grown
 
-    def is_k_integrated(self, bridge_adj: list[int], k: int) -> bool:
+    def balls(self, edges, radius: int) -> list[int]:
+        """Bitset of the nodes within ``radius`` of each node; none grows past node_count - 1."""
+        balls = [1 << u for u in range(self.node_count)]
+        for _ in range(min(radius, self.node_count - 1)):
+            balls = self.grow(balls, edges)
+        return balls
+
+    def is_k_integrated(self, edges, k: int) -> bool:
         """True iff every pair of nodes is within distance k."""
-        full = self.full_mask
-        for source in range(self.node_count):
-            reach = 1 << source
-            frontier = reach
-            for _ in range(k):
-                acc = 0
-                pending = frontier
-                while pending:
-                    low = pending & -pending
-                    u = low.bit_length() - 1
-                    acc |= self.local_mask[u] | bridge_adj[u]
-                    pending ^= low
-                grown = reach | acc
-                frontier = grown & ~reach
-                reach = grown
-                if reach == full or not frontier:
-                    break
-            if reach != full:
-                return False
-        return True
+        return reduce(and_, self.balls(edges, k)) == self.full_mask
+
+    def leaf_rule(self, edges, k: int) -> tuple[list[int], int]:
+        """The (k-1)-balls and the sources whose k-ball is not full.
+
+        ``short & ~(near[u] | near[v])`` non-zero proves edges + (u, v) is not k-integrated.
+        """
+        near = self.balls(edges, k - 1)
+        short = sum(1 << s for s, ball in enumerate(self.grow(near, edges)) if ball != self.full_mask)
+        return near, short
 
 
 def _instance(sizes: tuple[int, ...]) -> _Instance:
     """The search instance for validated sizes, refused in closed form above MAX_CROSS_PAIRS.
 
-    ``_Instance`` holds nodes² mask bits, so nodes² is capped at 4 × that
+    One check's balls hold nodes² bits, so nodes² is capped at 4 × that
     limit too; r >= 2 equal sizes have nodes² <= 4 × their cross pairs.
     """
     nodes = sum(sizes)
@@ -189,57 +197,71 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         # diameter <= 1 means complete, so every cross pair must be
         # bridged; the full cross set is the unique minimum
         witness = inst.universe
-        if not inst.is_k_integrated(inst.bridge_adjacency(witness), 1):
+        if not inst.is_k_integrated(witness, 1):
             raise AssertionError("internal: complete join failed its own check")
         return OracleVerdict(ordered, len(witness), witness, 1, None)
 
     universe = inst.universe
+    last = len(universe)
     gate = inst.gate
     start = len(ordered) - 1  # fewer bridges cannot connect r communities
     examined = 0
-    # bridge masks plus the sentinel gate's entry, which is never 0
-    badj = [0] * inst.node_count + [-1]
-    for m in range(start, len(universe) + 1):
+    # bridges held per node, plus the sentinel gate's entry, which is never 0
+    held = [0] * inst.node_count + [1]
+    for m in range(start, last + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
         chosen: list[Edge] = []
+        before, refuted, began = examined, 0, time.perf_counter()
 
         def extend(start_idx: int) -> bool:
             """Returns True to stop the whole size-m pass."""
-            nonlocal examined, found, budget_hit
-            if len(chosen) == m:
-                if examined >= budget:
-                    budget_hit = True
-                    return True
-                examined += 1
-                if inst.is_k_integrated(badj, k):
-                    found = tuple(chosen)
-                    return True
+            nonlocal examined, found, budget_hit, refuted
+            if len(chosen) == m - 1:
+                # the leaves: each is counted, and most are refuted by this node's balls
+                near, short = inst.leaf_rule(chosen, k)
+                for idx in range(start_idx, last):
+                    u, v = universe[idx]
+                    if not (held[u] or held[gate[u]]) or not (held[v] or held[gate[v]] or gate[v] == u):
+                        continue
+                    if examined >= budget:
+                        budget_hit = True
+                        return True
+                    examined += 1
+                    if short & ~(near[u] | near[v]):
+                        refuted += 1
+                        continue
+                    if inst.is_k_integrated([*chosen, (u, v)], k):
+                        found = (*chosen, (u, v))
+                        return True
                 return False
             remaining = m - len(chosen)
-            for idx in range(start_idx, len(universe) - remaining + 1):
+            for idx in range(start_idx, last - remaining + 1):
                 u, v = universe[idx]
-                if not (badj[u] or badj[gate[u]]):
+                if not (held[u] or held[gate[u]]):
                     continue
-                # u's bridge is set first, so it can open v's gate
-                badj[u] |= 1 << v
-                if badj[v] or badj[gate[v]]:
-                    badj[v] |= 1 << u
+                # u's bridge is counted first, so it can open v's gate
+                held[u] += 1
+                if held[v] or held[gate[v]]:
+                    held[v] += 1
                     chosen.append((u, v))
                     if extend(idx + 1):
                         return True
                     chosen.pop()
-                    badj[v] &= ~(1 << u)
-                badj[u] &= ~(1 << v)
+                    held[v] -= 1
+                held[u] -= 1
             return False
 
         extend(0)
+        sets = examined - before
+        log.info("size %d: %d sets, %d refuted by their parent's balls, %d checked in full, %.0f sets/s, budget %d of %d used",
+                 m, sets, refuted, sets - refuted, sets / max(time.perf_counter() - began, 1e-9), examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:
             return OracleVerdict(ordered, None, None, examined, m - 1)
     # unreachable for k >= 1: the full cross set is always feasible
-    return OracleVerdict(ordered, None, None, examined, len(universe))
+    return OracleVerdict(ordered, None, None, examined, last)
 
 
 def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
@@ -249,13 +271,7 @@ def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET)
     return min_bridges_for_sizes((n,) * r, k, budget=budget)
 
 
-def min_bridges_randomized(
-    r: int,
-    n: int,
-    k: int,
-    trials: int = 20,
-    seed: int = 0,
-) -> RandomizedBound:
+def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int = 0) -> RandomizedBound:
     """Upper bound on the minimum bridge count via shuffle-and-prune.
 
     Each trial starts from a known feasible set, removes edges in random
@@ -277,7 +293,7 @@ def min_bridges_randomized(
     else:
         built = extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
     initial = built.graph.census.bridges
-    if not inst.is_k_integrated(inst.bridge_adjacency(initial), k):
+    if not inst.is_k_integrated(initial, k):
         raise AssertionError("internal: seed bridge set failed its own check")
     rng = random.Random(seed)
     universe = inst.universe
@@ -291,7 +307,7 @@ def min_bridges_randomized(
             if len(keep) <= floor:
                 break
             keep.discard(e)
-            if not inst.is_k_integrated(inst.bridge_adjacency(keep), k):
+            if not inst.is_k_integrated(keep, k):
                 keep.add(e)
         return keep
 
@@ -314,7 +330,7 @@ def min_bridges_randomized(
                 i += 1
             e_in = universe[i]
             candidate = (current - {e_out}) | {e_in}
-            if not inst.is_k_integrated(inst.bridge_adjacency(candidate), k):
+            if not inst.is_k_integrated(candidate, k):
                 continue
             pruned = prune(candidate)
             if len(pruned) <= len(current):

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import subprocess
 import sys
 
@@ -180,6 +182,21 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "analyze" in out and "generate" in out and "certify" in out and "thresholds" in out
+
+
+def test_certify_logs_one_progress_line_per_size_at_info(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="kintegration.oracle")
+    code, out, err = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2"])
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["rows"]
+    pattern = r"size (\d+): (\d+) sets, (\d+) refuted by their parent's balls, (\d+) checked in full, \d+ sets/s, budget (\d+) of 2000000 used"
+    passes = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
+    assert [size for size, *_ in passes] == list(range(2, row["min_bridges"] + 1))
+    assert sum(sets for _, sets, *_ in passes) == row["sets_examined"]
+    assert all(sets == refuted + checked for _, sets, refuted, checked, _ in passes)
+    assert sum(refuted for _, _, refuted, *_ in passes) > 0
+    # the budget figure is the running total of sets examined
+    assert passes[-1][4] == row["sets_examined"]
 
 
 def test_certify_budget_exhaustion_exits_2(capsys):

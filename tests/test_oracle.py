@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kintegration import (
     InvalidParamsError,
@@ -74,6 +76,9 @@ def test_symmetry_reduction_changes_nothing_but_work(sizes, k):
         ((1, 1, 2, 2), 2, None, 164, 3, 4, ((0, 2), (1, 2), (2, 4), (2, 5))),
         ((5, 5, 5, 5), 3, 400_000, 31488, 5, 6, ((0, 5), (0, 10), (0, 15), (5, 10), (5, 15), (10, 15))),
         ((4, 4, 4, 4), 2, 300, 300, 3, None, None),
+        # the benchmark's certified rows, (3, 4, 2) and (4, 4, 3)
+        ((4, 4, 4), 2, None, 143_334, 7, 8, tuple((0, v) for v in range(4, 12))),
+        ((4, 4, 4, 4), 3, None, 29_462, 5, 6, ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))),
     ],
 )
 def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, witness):
@@ -83,6 +88,55 @@ def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, w
     assert verdict.min_bridges == minimum
     assert verdict.witness == witness
     assert verdict.certified is (minimum is not None)
+
+
+@st.composite
+def profile_and_bridges(draw, max_r, max_size):
+    sizes = tuple(sorted(draw(st.lists(st.integers(1, max_size), min_size=2, max_size=max_r))))
+    universe = naive.cross_pairs(sizes)
+    bridges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
+    return sizes, universe, sorted(bridges)
+
+
+@given(profile_and_bridges(max_r=4, max_size=6), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_ball_kernel_matches_naive(case, k):
+    # size-1 communities and lopsided profiles such as (1, 6) included
+    sizes, _, bridges = case
+    inst = oracle._instance(sizes)
+    assert inst.is_k_integrated(bridges, k) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
+
+
+@given(profile_and_bridges(max_r=4, max_size=3), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
+    sizes, universe, bridges = case
+    u, v = data.draw(st.sampled_from(universe))
+    near, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    if short & ~(near[u] | near[v]):
+        assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
+
+
+def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
+    # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang
+    inst = oracle._instance((1, 2, 3))
+    grow = oracle._Instance.grow
+    calls = 0
+
+    def counting(self, balls, edges):
+        nonlocal calls
+        calls += 1
+        return grow(self, balls, edges)
+
+    monkeypatch.setattr(oracle._Instance, "grow", counting)
+    assert inst.is_k_integrated([(0, 1), (1, 3)], 10**9)
+    assert calls == inst.node_count - 1
+    calls = 0
+    assert not inst.is_k_integrated([(0, 1)], 10**9)
+    assert calls == inst.node_count - 1
+    calls = 0
+    inst.leaf_rule([(0, 1)], 10**9)
+    assert calls == inst.node_count
 
 
 def test_certified_minima_match_threshold_table():
