@@ -15,24 +15,27 @@ bridge only once its gate holds one.  A node's gate is the previous
 slot of its community; for slot 0 it is slot 0 of the previous
 community when that has the same size, and otherwise there is none.
 So each community uses a prefix of its slots, and equal-size
-communities are opened in order.  The search therefore still visits
-the lex-least feasible set first and reports the same witness a full
-enumeration would; the tests hold it to the unreduced enumeration in
+communities are opened in order; the nodes free to take a bridge are
+kept as one mask.  The search therefore still visits the lex-least
+feasible set first and reports the same witness a full enumeration
+would; the tests hold it to the unreduced enumeration in
 ``tests/naive.py``.
 
-A check grows every node's ball at once as a bitset: each round gives a
-community's members the union of its balls (a community is a clique),
-then each bridge adds its partner's old ball, for min(k, nodes - 1)
-rounds; the set is k-integrated when every k-ball is full.  A leaf
-P + (u, v) is decided from its parent's balls: a bridge with both ends
-beyond k - 1 hops of a source brings nothing within k hops of it, so
-the leaf is refuted without a check when such a source's k-ball in P
-is not full.  Only the other leaves get a full check.
+A check grows every node's ball at once as a bitset: the 1-balls are
+the community masks plus each bridge's ends, and each further round
+gives a community's members the union of its balls (a community is a
+clique), then each bridge adds its partner's old ball, up to
+min(k, nodes - 1) rounds; the set is k-integrated when every k-ball is
+full.  A leaf P + (u, v) is decided from its parent's balls: a bridge
+with both ends beyond k - 1 hops of a source brings nothing within k
+hops of it, so the leaf is refuted when such a source's k-ball in P is
+not full.  Balls are symmetric, so for each u only the v near its first
+such source are tested, and those that pass get a full check.
 
 Candidate counts grow combinatorially, so the search takes a budget of
-leaves, refuted ones included.  Exceeding it returns a partial verdict
-(min_bridges is None) rather than raising: the caller learns which
-sizes were fully ruled out.
+leaves, refuted ones included and counted per u by popcount.  Exceeding
+it returns a partial verdict (min_bridges is None) rather than raising:
+the caller learns which sizes were fully ruled out.
 """
 
 from __future__ import annotations
@@ -104,24 +107,29 @@ class _Instance:
 
     Node ids are consecutive per community: slot s of a community that
     starts at id o is node o + s.  Sizes must come in ascending order
-    so that equal sizes form contiguous blocks.  ``gate[u]`` is the node
-    that must hold a bridge before u may take its first one: slot s - 1
-    for s > 0, slot 0 of the previous community when it has the same
-    size, and otherwise the sentinel ``node_count``, which always counts
-    as holding one.
+    so that equal sizes form contiguous blocks.  ``opens[x]`` holds x and
+    the nodes x gates (slot s + 1; for slot 0 also the next community's,
+    if equal in size), ``base`` the ungated nodes, and ``community[x]``
+    and ``later[x]`` x's community and the communities after it.
     """
 
     def __init__(self, sizes: tuple[int, ...]) -> None:
         self.node_count = sum(sizes)
         self.full_mask = (1 << self.node_count) - 1
         self.spans: list[tuple[int, int]] = []
-        self.gate: list[int] = []
+        self.opens: list[int] = []
+        self.base = 0
         start = 0
         for c, size in enumerate(sizes):
             self.spans.append((start, start + size))
-            self.gate.append(start - size if c > 0 and sizes[c - 1] == size else self.node_count)
-            self.gate.extend(range(start, start + size - 1))
+            self.opens += [3 << x for x in range(start, start + size - 1)] + [1 << (start + size - 1)]
+            if c > 0 and sizes[c - 1] == size:
+                self.opens[start - size] |= 1 << start
+            else:
+                self.base |= 1 << start
             start += size
+        self.community = [(1 << hi) - (1 << lo) for lo, hi in self.spans for _ in range(lo, hi)]
+        self.later = [self.full_mask >> hi << hi for lo, hi in self.spans for _ in range(lo, hi)]
         self.universe: tuple[Edge, ...] = tuple(
             (u, v) for lo, hi in self.spans for u in range(lo, hi) for v in range(hi, self.node_count)
         )
@@ -138,8 +146,13 @@ class _Instance:
 
     def balls(self, edges, radius: int) -> list[int]:
         """Bitset of the nodes within ``radius`` of each node; none grows past node_count - 1."""
-        balls = [1 << u for u in range(self.node_count)]
-        for _ in range(min(radius, self.node_count - 1)):
+        if radius == 0:
+            return [1 << u for u in range(self.node_count)]
+        balls = self.community[:]
+        for u, v in edges:
+            balls[u] |= 1 << v
+            balls[v] |= 1 << u
+        for _ in range(min(radius - 1, self.node_count - 2)):
             balls = self.grow(balls, edges)
         return balls
 
@@ -153,7 +166,10 @@ class _Instance:
         ``short & ~(near[u] | near[v])`` non-zero proves edges + (u, v) is not k-integrated.
         """
         near = self.balls(edges, k - 1)
-        short = sum(1 << s for s, ball in enumerate(self.grow(near, edges)) if ball != self.full_mask)
+        short = 0
+        for s, ball in enumerate(self.grow(near, edges)):
+            if ball != self.full_mask:
+                short |= 1 << s
         return near, short
 
 
@@ -203,59 +219,63 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
 
     universe = inst.universe
     last = len(universe)
-    gate = inst.gate
+    opens, later, last_start = inst.opens, inst.later, inst.spans[-1][0]
     start = len(ordered) - 1  # fewer bridges cannot connect r communities
     examined = 0
-    # bridges held per node, plus the sentinel gate's entry, which is never 0
-    held = [0] * inst.node_count + [1]
     for m in range(start, last + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
-        chosen: list[Edge] = []
-        before, refuted, began = examined, 0, time.perf_counter()
+        before, checked, began = examined, 0, time.perf_counter()
 
-        def extend(start_idx: int) -> bool:
-            """Returns True to stop the whole size-m pass."""
-            nonlocal examined, found, budget_hit, refuted
+        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...]) -> bool:
+            """Returns True to stop the whole size-m pass; ``open_`` holds the nodes that may take a bridge."""
+            nonlocal examined, found, budget_hit, checked
             if len(chosen) == m - 1:
-                # the leaves: each is counted, and most are refuted by this node's balls
+                # the leaves, one u at a time: all are counted, most are refuted by this node's balls
                 near, short = inst.leaf_rule(chosen, k)
-                for idx in range(start_idx, last):
-                    u, v = universe[idx]
-                    if not (held[u] or held[gate[u]]) or not (held[v] or held[gate[v]] or gate[v] == u):
+                u0, v0 = universe[start_idx]
+                for u in range(u0, last_start):
+                    if not open_ >> u & 1:
                         continue
-                    if examined >= budget:
-                        budget_hit = True
-                        return True
-                    examined += 1
-                    if short & ~(near[u] | near[v]):
-                        refuted += 1
-                        continue
-                    if inst.is_k_integrated([*chosen, (u, v)], k):
-                        found = (*chosen, (u, v))
+                    vs = (open_ | opens[u]) & later[u]
+                    if u == u0:
+                        vs &= -1 << v0
+                    lacking = short & ~near[u]
+                    # balls are symmetric: only the v within k - 1 hops of u's lowest lacking source can cover it
+                    survivors = vs & near[(lacking & -lacking).bit_length() - 1] if lacking else vs
+                    while survivors:
+                        low = survivors & -survivors
+                        survivors ^= low
+                        v = low.bit_length() - 1
+                        if lacking & ~near[v]:
+                            continue
+                        position = examined + (vs & (low - 1)).bit_count() + 1
+                        if position > budget:
+                            break  # the count after this u passes the budget too
+                        checked += 1
+                        if inst.is_k_integrated((*chosen, (u, v)), k):
+                            examined, found = position, (*chosen, (u, v))
+                            return True
+                    examined += vs.bit_count()
+                    if examined > budget:
+                        examined, budget_hit = budget, True
                         return True
                 return False
             remaining = m - len(chosen)
             for idx in range(start_idx, last - remaining + 1):
                 u, v = universe[idx]
-                if not (held[u] or held[gate[u]]):
+                if not open_ >> u & 1:
                     continue
                 # u's bridge is counted first, so it can open v's gate
-                held[u] += 1
-                if held[v] or held[gate[v]]:
-                    held[v] += 1
-                    chosen.append((u, v))
-                    if extend(idx + 1):
-                        return True
-                    chosen.pop()
-                    held[v] -= 1
-                held[u] -= 1
+                reach = open_ | opens[u]
+                if reach >> v & 1 and extend(idx + 1, reach | opens[v], (*chosen, (u, v))):
+                    return True
             return False
 
-        extend(0)
+        extend(0, inst.base, ())
         sets = examined - before
         log.info("size %d: %d sets, %d refuted by their parent's balls, %d checked in full, %.0f sets/s, budget %d of %d used",
-                 m, sets, refuted, sets - refuted, sets / max(time.perf_counter() - began, 1e-9), examined, budget)
+                 m, sets, sets - checked, checked, sets / max(time.perf_counter() - began, 1e-9), examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -65,22 +66,23 @@ def test_symmetry_reduction_changes_nothing_but_work(sizes, k):
 
 # sets examined, last size ruled out, minimum and witness, pinned so that a
 # change to the symmetry rule that keeps the minima still shows up
-@pytest.mark.parametrize(
-    "sizes,k,budget,examined,exhausted,minimum,witness",
-    [
-        ((2, 3, 4), 2, None, 1659, 4, 5, ((0, 5), (1, 5), (2, 5), (3, 5), (4, 5))),
-        ((1, 2, 2), 2, None, 15, 2, 3, ((0, 1), (0, 3), (2, 4))),
-        ((3, 4, 4), 3, None, 25, 2, 3, ((0, 3), (0, 7), (3, 7))),
-        ((2, 2, 2, 2), 3, None, 388, 4, 5, ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6))),
-        ((3, 3, 3), 2, None, 1942, 5, 6, ((0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8))),
-        ((1, 1, 2, 2), 2, None, 164, 3, 4, ((0, 2), (1, 2), (2, 4), (2, 5))),
-        ((5, 5, 5, 5), 3, 400_000, 31488, 5, 6, ((0, 5), (0, 10), (0, 15), (5, 10), (5, 15), (10, 15))),
-        ((4, 4, 4, 4), 2, 300, 300, 3, None, None),
-        # the benchmark's certified rows, (3, 4, 2) and (4, 4, 3)
-        ((4, 4, 4), 2, None, 143_334, 7, 8, tuple((0, v) for v in range(4, 12))),
-        ((4, 4, 4, 4), 3, None, 29_462, 5, 6, ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))),
-    ],
-)
+PINNED = [
+    ((2, 3, 4), 2, None, 1659, 4, 5, ((0, 5), (1, 5), (2, 5), (3, 5), (4, 5))),
+    ((1, 2, 2), 2, None, 15, 2, 3, ((0, 1), (0, 3), (2, 4))),
+    ((3, 4, 4), 3, None, 25, 2, 3, ((0, 3), (0, 7), (3, 7))),
+    ((2, 2, 2, 2), 3, None, 388, 4, 5, ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6))),
+    ((3, 3, 3), 2, None, 1942, 5, 6, ((0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8))),
+    ((1, 1, 2, 2), 2, None, 164, 3, 4, ((0, 2), (1, 2), (2, 4), (2, 5))),
+    ((5, 5, 5, 5), 3, 400_000, 31488, 5, 6, ((0, 5), (0, 10), (0, 15), (5, 10), (5, 15), (10, 15))),
+    ((4, 4, 4, 4), 2, 300, 300, 3, None, None),
+    # the benchmark's certified rows, (3, 4, 2) and (4, 4, 3), and its budget row (4, 4, 2)
+    ((4, 4, 4), 2, None, 143_334, 7, 8, tuple((0, v) for v in range(4, 12))),
+    ((4, 4, 4, 4), 3, None, 29_462, 5, 6, ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))),
+    ((4, 4, 4, 4), 2, 300_000, 300_000, 6, None, None),
+]
+
+
+@pytest.mark.parametrize("sizes,k,budget,examined,exhausted,minimum,witness", PINNED)
 def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, witness):
     verdict = min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
     assert verdict.sets_examined == examined
@@ -88,6 +90,31 @@ def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, w
     assert verdict.min_bridges == minimum
     assert verdict.witness == witness
     assert verdict.certified is (minimum is not None)
+
+
+def _boundary_cases():
+    # budgets 1, E - 1, E, E + 1 and seeded draws around them, for each small unbudgeted row
+    rng = random.Random(9)
+    for row in PINNED:
+        sizes, k, budget, examined = row[:4]
+        if budget is None and examined < 5_000:
+            draws = {rng.randint(1, examined + 5) for _ in range(16)}
+            for b in sorted({1, examined - 1, examined, examined + 1} | draws):
+                yield pytest.param(row, b, id=f"{sizes}-k{k}-b{b}")
+
+
+@pytest.mark.parametrize("row,budget", _boundary_cases())
+def test_budget_boundary_is_exact(row, budget):
+    sizes, k, _, examined, exhausted, minimum, witness = row
+    verdict = min_bridges_for_sizes(sizes, k, budget)
+    if budget >= examined:
+        assert (verdict.sets_examined, verdict.exhausted_size) == (examined, exhausted)
+        assert (verdict.min_bridges, verdict.witness) == (minimum, witness)
+    else:
+        # the search stops at exactly the budget, having ruled out no more than the full one
+        assert verdict.min_bridges is None and verdict.witness is None
+        assert verdict.sets_examined == budget
+        assert verdict.exhausted_size <= exhausted
 
 
 @st.composite
@@ -118,7 +145,8 @@ def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
 
 
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
-    # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang
+    # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang; the first
+    # round starts from the community masks, so it is not a grow call
     inst = oracle._instance((1, 2, 3))
     grow = oracle._Instance.grow
     calls = 0
@@ -130,13 +158,13 @@ def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
 
     monkeypatch.setattr(oracle._Instance, "grow", counting)
     assert inst.is_k_integrated([(0, 1), (1, 3)], 10**9)
-    assert calls == inst.node_count - 1
+    assert calls == inst.node_count - 2
     calls = 0
     assert not inst.is_k_integrated([(0, 1)], 10**9)
-    assert calls == inst.node_count - 1
+    assert calls == inst.node_count - 2
     calls = 0
     inst.leaf_rule([(0, 1)], 10**9)
-    assert calls == inst.node_count
+    assert calls == inst.node_count - 1
 
 
 def test_certified_minima_match_threshold_table():
