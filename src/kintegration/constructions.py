@@ -22,6 +22,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -139,7 +140,7 @@ class Construction:
     claimed_c: int
 
 
-# generate holds the network whole, up to ~230 B an edge (complete join): ~2.3 GB at the limit
+# generate holds the network whole, up to ~150 B an edge (complete join): ~1.5 GB at the limit
 MAX_EDGES = 10_000_000
 
 
@@ -151,7 +152,7 @@ def _check_size(r: int, n: int, bridge_count: int) -> None:
 
 
 def _assemble(r: int, n: int, bridge_edges: Iterable[Edge]) -> CommunityGraph:
-    """Locally complete graph on r communities of n nodes plus the given bridges.
+    """Locally complete graph on r communities of n nodes plus the given bridges, each listed once.
 
     Node id = community*n + slot; tokens are zero-padded so token order
     equals id order and canonical files stay in layout order.
@@ -159,16 +160,19 @@ def _assemble(r: int, n: int, bridge_edges: Iterable[Edge]) -> CommunityGraph:
     node_count = r * n
     width = len(str(node_count - 1)) if node_count > 1 else 1
     cwidth = len(str(r - 1)) if r > 1 else 1
-    bridged: dict[int, set[int]] = {}
+    bridged: dict[int, list[int]] = {}
     for u, v in bridge_edges:
-        bridged.setdefault(u, set()).add(v)
-        bridged.setdefault(v, set()).add(u)
+        bridged.setdefault(u, []).append(v)
+        bridged.setdefault(v, []).append(u)
     adjacency: list[tuple[int, ...]] = []
     for c in range(r):
         block = tuple(range(c * n, (c + 1) * n))
         for i, u in enumerate(block):
             local = block[:i] + block[i + 1 :]
-            adjacency.append(tuple(sorted(bridged[u].union(local))) if u in bridged else local)
+            # every bridge end lies outside u's block, so the block slots in whole
+            ends = sorted(bridged.pop(u, ()))
+            cut = bisect_left(ends, c * n)
+            adjacency.append((*ends[:cut], *local, *ends[cut:]) if ends else local)
     return CommunityGraph(
         adjacency=tuple(adjacency),
         community_of=tuple(u // n for u in range(node_count)),

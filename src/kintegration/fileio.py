@@ -31,7 +31,7 @@ import operator
 import os
 
 from .errors import EmptyCommunityMapError, KIntegrationError, ParseError, SelfLoopError, UnknownNodeError
-from .graph import CommunityGraph, edge_ids, index_nodes, intern_graph
+from .graph import CommunityGraph, edge_ids, index_nodes, intern_graph, pick
 
 
 def _edge_pair(line: str, lines: list[str]) -> tuple[str, str] | None:
@@ -138,11 +138,10 @@ def format_edge_list(g: CommunityGraph) -> str:
     # higher neighbours in id order, node by node
     blocks = []
     for u, nbs in enumerate(g.adjacency):
-        nbs = sorted(nbs)
         higher = nbs[bisect.bisect_right(nbs, u) :]
         if higher:
             head = tokens[u] + " "
-            blocks.append(head + ("\n" + head).join([tokens[v] for v in higher]) + "\n")
+            blocks.append(head + ("\n" + head).join(pick(tokens, higher)) + "\n")
     return "".join(blocks)
 
 

@@ -7,17 +7,20 @@ is an endpoint of at least one bridge.
 
 Every graph computes its edge census (bridge list, central set and
 local-edge count) once, on first use, in one pass over the adjacency
-lists: per node, one C-level map counts the neighbours in its own
-community, and bridges are listed only at nodes where that count falls
-short of the degree. The edge tuple ``edges`` is built only when asked for.
+lists: per node, one C-level ``itemgetter`` call fetches the neighbours'
+communities and ``count`` finds those in its own, and bridges are listed
+only from the neighbours above a node whose count falls short of its
+degree. The edge tuple ``edges`` is built only when asked for.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyCommunityMapError, SelfLoopError, UnknownNodeError
 
@@ -42,6 +45,11 @@ class CommunityGraph:
     ``0..community_count-1``; ``tokens`` and ``community_tokens`` map
     them back to the names used in the input. Instances are immutable
     after construction and safe to share across concurrent readers.
+
+    Invariant: ``adjacency[u]`` is strictly ascending and excludes u.
+    Every producer keeps it; the census, the twin-class key in ``metrics``
+    and ``fileio.format_edge_list`` rely on it to split a neighbour tuple
+    at u by bisection instead of sorting or filtering it.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -86,17 +94,19 @@ class CommunityGraph:
     def census(self) -> EdgeCensus:
         """The edge census, from one pass over the adjacency lists."""
         community_of = self.community_of
-        lookup = community_of.__getitem__
         found: list[Edge] = []
         central: list[int] = []
         local_ends = 0
         for u, nbs in enumerate(self.adjacency):
             cu = community_of[u]
-            same = list(map(lookup, nbs)).count(cu)
+            comms = pick(community_of, nbs)
+            same = comms.count(cu)
             local_ends += same
             if same != len(nbs):
                 central.append(u)
-                found.extend((u, v) for v in nbs if u < v and community_of[v] != cu)
+                i = bisect_right(nbs, u)
+                if comms[i:].count(cu) != len(nbs) - i:
+                    found.extend((u, v) for v, c in zip(nbs[i:], comms[i:]) if c != cu)
         return EdgeCensus(tuple(found), frozenset(central), local_ends // 2)
 
     def degree(self, u: int) -> int:
@@ -104,6 +114,11 @@ class CommunityGraph:
 
     def is_bridge(self, u: int, v: int) -> bool:
         return self.community_of[u] != self.community_of[v]
+
+
+def pick(values: Sequence, keys: Sequence[int]) -> Sequence:
+    """``values[k]`` for each of ``keys``, by one ``itemgetter`` call unless fewer than two (it returns one bare, refuses none)."""
+    return itemgetter(*keys)(values) if len(keys) > 1 else [values[k] for k in keys]
 
 
 def build_graph(

@@ -19,6 +19,7 @@ always the one from the lowest-numbered violating source.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -133,14 +134,15 @@ class _TwinQuotient:
     the same distance from everything else, so distances in the class
     graph are exactly the original distances between members of
     distinct classes; members of one class sit at distance 1 (classes
-    are cliques). Classes are ordered by their smallest node id.
+    are cliques). Classes are ordered by their smallest node id and keyed
+    by the closed neighborhood as a tuple, u spliced into its neighbours.
     """
 
     def __init__(self, g: CommunityGraph):
-        groups: dict[frozenset[int], list[int]] = {}
-        for u in range(g.node_count):
-            key = frozenset(g.adjacency[u]) | {u}
-            groups.setdefault(key, []).append(u)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for u, nbs in enumerate(g.adjacency):
+            i = bisect_left(nbs, u)
+            groups.setdefault(nbs[:i] + (u,) + nbs[i:], []).append(u)
         classes = sorted(groups.values(), key=lambda members: members[0])
         class_of = [0] * g.node_count
         for ci, members in enumerate(classes):

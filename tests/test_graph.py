@@ -9,9 +9,18 @@ from kintegration import (
     bridges,
     build_graph,
     central_nodes,
+    complete_join,
+    complete_quotient,
+    cycle_quotient,
+    extended_star,
+    figure1_quotient,
     is_locally_complete,
+    load_graph,
     local_edges,
     localize_complete,
+    path_quotient,
+    star_quotient,
+    two_star,
 )
 
 from helpers import islands, random_community_graph, remove_edge
@@ -126,6 +135,46 @@ def test_localize_complete_idempotent(sample_graph):
     assert localize_complete(once).edges == once.edges
 
 
+def _assert_adjacency_invariant(g):
+    """Each neighbour tuple is strictly ascending and leaves out its own node."""
+    for u, nbs in enumerate(g.adjacency):
+        assert all(a < b for a, b in zip(nbs, nbs[1:])), (u, nbs)
+        assert u not in nbs, (u, nbs)
+
+
+def _constructions():
+    """Every family at a few sizes; star quotients put a hub's bridges after its block and the leaves' before."""
+    for r, n in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 4), (5, 2)]:
+        yield complete_join(r, n).graph
+        yield two_star(r, n).graph
+        yield extended_star(r, n, star_quotient(r)).graph
+        yield extended_star(r, n, path_quotient(r)).graph
+        yield extended_star(r, n, complete_quotient(r)).graph
+    yield extended_star(4, 3, cycle_quotient(4)).graph
+    for k in range(4, 10):
+        yield extended_star(8, 3, figure1_quotient(k)).graph
+
+
+def test_adjacency_is_strictly_ascending_without_self_for_every_producer(tmp_path):
+    communities = {"b": 1, "a": 0, "c": 0, "d": 1}
+    listed = [("d", "a"), ("a", "d"), ("c", "a"), ("a", "c"), ("c", "a"), ("d", "b"), ("b", "c")]
+    g = build_graph(listed, communities)
+    assert g.adjacency == ((2, 3), (2, 3), (0, 1), (0, 1))
+    _assert_adjacency_invariant(g)
+    (tmp_path / "e.txt").write_text("# comment\nd a\na d\n\nc  a\r\nc a\nd b\nb c\n")
+    (tmp_path / "c.txt").write_text("".join(f"{u} {c}\n" for u, c in communities.items()))
+    loaded = load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+    assert loaded.adjacency == g.adjacency
+    _assert_adjacency_invariant(loaded)
+    rng = random.Random(11)
+    for _ in range(20):
+        sparse = random_community_graph(rng, 12, connected=False)
+        _assert_adjacency_invariant(sparse)
+        _assert_adjacency_invariant(localize_complete(sparse))
+    for built in _constructions():
+        _assert_adjacency_invariant(built)
+
+
 def _census_by_definition(g):
     """Bridges, centrals and local-edge count filtered from the full edge tuple."""
     cross = [(u, v) for u, v in g.edges if g.community_of[u] != g.community_of[v]]
@@ -142,6 +191,10 @@ def _census_cases():
     yield islands(4, 3)  # several communities, zero bridges
     yield islands(3, 3, [(0, 3), (0, 6), (4, 8)])
     yield build_graph([(0, 1), (1, 2)], {0: 0, 1: 1, 2: 0, 3: 1})  # isolated node beside bridges
+    yield from _constructions()
+    yield two_star(40, 60).graph  # a hub with 2,340 bridges
+    yield complete_join(3, 40).graph  # 80 bridges a node, before and after its block
+    yield extended_star(30, 3, star_quotient(30)).graph
 
 
 def test_census_matches_edge_filter_definitions():

@@ -8,10 +8,15 @@ from kintegration import (
     bounded_bfs,
     build_graph,
     build_report,
+    complete_join,
     eccentricity,
+    extended_star,
     integration_level,
     is_k_integrated,
+    star_quotient,
+    two_star,
 )
+from kintegration.metrics import _TwinQuotient
 
 import naive
 from helpers import islands, random_community_graph
@@ -137,6 +142,20 @@ def test_witness_matches_naive_rule_on_random_graphs():
             assert report.reach_profile[k] == tuple(
                 sum(1 for d in dist if d is not None and d <= k) for dist in rows
             )
+
+
+def test_twin_classes_are_the_closed_neighborhood_groups():
+    rng = random.Random(403)
+    graphs = [random_community_graph(rng, 18, connected=rng.random() < 0.7) for _ in range(60)]
+    graphs += [islands(1, 1), islands(1, 3), islands(3, 2), islands(2, 300, [(0, 300)])]
+    graphs += [_random_islands(rng) for _ in range(40)]
+    for r, n in [(1, 3), (2, 1), (3, 4), (5, 3)]:
+        graphs += [complete_join(r, n).graph, two_star(r, n).graph, extended_star(r, n, star_quotient(r)).graph]
+    for g in graphs:
+        groups = {}
+        for u, nbs in enumerate(g.adjacency):
+            groups.setdefault(frozenset(nbs) | {u}, []).append(u)
+        assert _TwinQuotient(g).classes == sorted(groups.values(), key=lambda members: members[0])
 
 
 def test_build_report_sample(sample_graph):
