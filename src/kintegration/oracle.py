@@ -30,7 +30,10 @@ full.  A leaf P + (u, v) is decided from its parent's balls: a bridge
 with both ends beyond k - 1 hops of a source brings nothing within k
 hops of it, so the leaf is refuted when such a source's k-ball in P is
 not full.  Balls are symmetric, so for each u only the v near its first
-such source are tested, and those that pass get a full check.
+such source are tested, and those that pass get a full check.  By the
+same proof a source short in the grandparent and beyond k - 1 hops of
+all four new ends stays short, so a parent grows its own balls only for
+a leaf this leaves open; the INFO line counts those parents.
 
 Candidate counts grow combinatorially, so the search takes a budget of
 leaves, refuted ones included and counted per u by popcount.  Exceeding
@@ -221,18 +224,33 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     last = len(universe)
     opens, later, last_start = inst.opens, inst.later, inst.spans[-1][0]
     start = len(ordered) - 1  # fewer bridges cannot connect r communities
+
+    def unrefuted(near: list[int], short: int, u: int, vs: int) -> int:
+        """The v in ``vs`` whose leaf (u, v) the rule (near, short) leaves open."""
+        lacking = short & ~near[u]
+        if not lacking:
+            return vs
+        # balls are symmetric: only the v within k - 1 hops of u's lowest lacking source can cover it
+        kept = candidates = vs & near[(lacking & -lacking).bit_length() - 1]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if lacking & ~near[low.bit_length() - 1]:
+                kept ^= low
+        return kept
+
     examined = 0
     for m in range(start, last + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
-        before, checked, began = examined, 0, time.perf_counter()
+        before, checked, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
 
-        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...]) -> bool:
+        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], gnear: list[int], gshort: int) -> bool:
             """Returns True to stop the whole size-m pass; ``open_`` holds the nodes that may take a bridge."""
-            nonlocal examined, found, budget_hit, checked
+            nonlocal examined, found, budget_hit, checked, parents, grown
             if len(chosen) == m - 1:
-                # the leaves, one u at a time: all are counted, most are refuted by this node's balls
-                near, short = inst.leaf_rule(chosen, k)
+                # the leaves, one u at a time, all counted; this node grows balls only for a leaf the grandparent's rule leaves open
+                own, parents = None, parents + 1
                 u0, v0 = universe[start_idx]
                 for u in range(u0, last_start):
                     if not open_ >> u & 1:
@@ -240,15 +258,14 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                     vs = (open_ | opens[u]) & later[u]
                     if u == u0:
                         vs &= -1 << v0
-                    lacking = short & ~near[u]
-                    # balls are symmetric: only the v within k - 1 hops of u's lowest lacking source can cover it
-                    survivors = vs & near[(lacking & -lacking).bit_length() - 1] if lacking else vs
+                    survivors = unrefuted(gnear, gshort, u, vs)
+                    if survivors and own is None:
+                        own, grown = inst.leaf_rule(chosen, k), grown + 1
+                    survivors = survivors and unrefuted(*own, u, survivors)
                     while survivors:
                         low = survivors & -survivors
                         survivors ^= low
                         v = low.bit_length() - 1
-                        if lacking & ~near[v]:
-                            continue
                         position = examined + (vs & (low - 1)).bit_count() + 1
                         if position > budget:
                             break  # the count after this u passes the budget too
@@ -262,20 +279,23 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                         return True
                 return False
             remaining = m - len(chosen)
+            # each child's rule: a source short here and beyond k - 1 hops of the child's and a leaf's bridge ends stays short
+            near, short = inst.leaf_rule(chosen, k) if remaining == 2 else (gnear, gshort)
             for idx in range(start_idx, last - remaining + 1):
                 u, v = universe[idx]
                 if not open_ >> u & 1:
                     continue
                 # u's bridge is counted first, so it can open v's gate
                 reach = open_ | opens[u]
-                if reach >> v & 1 and extend(idx + 1, reach | opens[v], (*chosen, (u, v))):
+                if reach >> v & 1 and extend(idx + 1, reach | opens[v], (*chosen, (u, v)), near, short & ~near[u] & ~near[v]):
                     return True
             return False
 
-        extend(0, inst.base, ())
+        extend(0, inst.base, (), inst.community, 0)  # above the grandparents no source is known short
         sets = examined - before
-        log.info("size %d: %d sets, %d refuted by their parent's balls, %d checked in full, %.0f sets/s, budget %d of %d used",
-                 m, sets, sets - checked, checked, sets / max(time.perf_counter() - began, 1e-9), examined, budget)
+        rate = sets / max(time.perf_counter() - began, 1e-9)
+        log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d of %d parents grew their own balls, "
+                 "%.0f sets/s, budget %d of %d used", m, sets, sets - checked, checked, grown, parents, rate, examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:

@@ -144,6 +144,46 @@ def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
 
 
+@given(profile_and_bridges(max_r=4, max_size=3), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_grandparent_rule_refutes_only_infeasible_sets(case, k, data):
+    # the rule a grandparent Q passes to its child Q + (a, b), applied to the leaf Q + (a, b) + (u, v)
+    sizes, universe, bridges = case
+    (a, b), (u, v) = data.draw(st.lists(st.sampled_from(universe), min_size=2, max_size=2))
+    inst = oracle._instance(sizes)
+    near, short = inst.leaf_rule(bridges, k)
+    if short & ~near[a] & ~near[b] & ~(near[u] | near[v]):
+        assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(a, b), (u, v)], k)
+        # the child's own balls refute the leaf too, so the rule does not change which leaves are checked in full
+        near, short = inst.leaf_rule(bridges + [(a, b)], k)
+        assert short & ~(near[u] | near[v])
+
+
+# leaf_rule calls (grandparents' and parents' together) and full checks on the
+# benchmark's rows: without the grandparent rule every parent grew its own balls,
+# 21,760, 2,549 and 27,210 calls, and the full checks were the same
+LEAF_WORK = [
+    ((4, 4, 4), 2, None, 9_936, 1_618),
+    ((4, 4, 4, 4), 3, None, 2_004, 1_721),
+    ((4, 4, 4, 4), 2, 300_000, 7_988, 0),
+]
+
+
+@pytest.mark.parametrize("sizes,k,budget,rules,checks", LEAF_WORK)
+def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks):
+    calls = {"leaf_rule": 0, "is_k_integrated": 0}
+    for name in calls:
+        method = getattr(oracle._Instance, name)
+
+        def counting(self, edges, k, name=name, method=method):
+            calls[name] += 1
+            return method(self, edges, k)
+
+        monkeypatch.setattr(oracle._Instance, name, counting)
+    min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
+    assert calls == {"leaf_rule": rules, "is_k_integrated": checks}
+
+
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang; the first
     # round starts from the community masks, so it is not a grow call
