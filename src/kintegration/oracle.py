@@ -26,18 +26,30 @@ the community masks plus each bridge's ends, and each further round
 gives a community's members the union of its balls (a community is a
 clique), then each bridge adds its partner's old ball, up to
 min(k, nodes - 1) rounds; the set is k-integrated when every k-ball is
-full.  A leaf P + (u, v) is decided from its parent's balls: a bridge
-with both ends beyond k - 1 hops of a source brings nothing within k
-hops of it, so the leaf is refuted when such a source's k-ball in P is
-not full.  Balls are symmetric, so for each u only the v near its first
-such source are tested, and those that pass get a full check.  By the
-same proof a source short in the grandparent and beyond k - 1 hops of
-all four new ends stays short, so a parent grows its own balls only for
-a leaf this leaves open; the INFO line counts those parents.
+full.  In the last round a node without a bridge gets only the union of
+its community's balls, so a check ends before that round when such a
+union is not full.  A leaf P + (u, v) is decided from its parent's
+balls: a bridge with both ends beyond k - 1 hops of a source brings
+nothing within k hops of it, so the leaf is refuted when such a
+source's k-ball in P is not full.  Balls are symmetric, so for each u
+only the v near its first such source are tested, and those that pass
+get a full check.  By the same proof a source short in an ancestor and
+beyond k - 1 hops of every bridge end added since stays short, so each
+node hands its children its rule with the new ends' balls taken out.
+When such a source's whole (k - 1)-ball lies below the node's first u,
+no bridge below the node comes near it and every leaf below is refuted:
+the subtree is counted, not walked.  Nodes two and three bridges short
+grow their own balls only when the inherited rule does not refute their
+subtree, and a parent only for a leaf the rule leaves open; the INFO
+line counts both.
 
 Candidate counts grow combinatorially, so the search takes a budget of
-leaves, refuted ones included and counted per u by popcount.  Exceeding
-it returns a partial verdict (min_bridges is None) rather than raising:
+leaves, refuted ones included: a parent counts each u's leaves by
+popcount, and a refuted subtree's count comes in closed form from the
+same enumeration of what the gates admit, memoized by the node's start
+index, open mask and bridges left.  So a budget that runs out inside a
+refuted subtree stops at the exact leaf a walk would.  Exceeding it
+returns a partial verdict (min_bridges is None) rather than raising:
 the caller learns which sizes were fully ruled out.
 """
 
@@ -113,7 +125,11 @@ class _Instance:
     so that equal sizes form contiguous blocks.  ``opens[x]`` holds x and
     the nodes x gates (slot s + 1; for slot 0 also the next community's,
     if equal in size), ``base`` the ungated nodes, and ``community[x]``
-    and ``later[x]`` x's community and the communities after it.
+    and ``later[x]`` x's community and the communities after it.  A
+    search node is its first free pair's index in ``universe`` and the
+    mask of nodes free to take a bridge; ``children`` and ``leaves`` are
+    the one enumeration of what the gates admit below it, and
+    ``leaf_count`` counts its leaves from them, memoized.
     """
 
     def __init__(self, sizes: tuple[int, ...]) -> None:
@@ -136,6 +152,7 @@ class _Instance:
         self.universe: tuple[Edge, ...] = tuple(
             (u, v) for lo, hi in self.spans for u in range(lo, hi) for v in range(hi, self.node_count)
         )
+        self.leaf_counts: dict[tuple[int, int, int], int] = {}
 
     def grow(self, balls: list[int], edges) -> list[int]:
         """Every node's ball one hop wider, given the bridges ``edges``."""
@@ -160,8 +177,49 @@ class _Instance:
         return balls
 
     def is_k_integrated(self, edges, k: int) -> bool:
-        """True iff every pair of nodes is within distance k."""
-        return reduce(and_, self.balls(edges, k)) == self.full_mask
+        """True iff every pair of nodes is within distance k.
+
+        The last round gives a node without a bridge only the union of its
+        community's balls, so the check ends before that round when such a
+        union is not full.
+        """
+        near = self.balls(edges, min(k, self.node_count - 1) - 1)
+        ends = 0
+        for u, v in edges:
+            ends |= 1 << u | 1 << v
+        for lo, hi in self.spans:
+            if self.community[lo] & ~ends and reduce(or_, near[lo:hi]) != self.full_mask:
+                return False
+        return reduce(and_, self.grow(near, edges)) == self.full_mask
+
+    def children(self, start_idx: int, open_: int, left: int):
+        """(idx, u, v, open mask) of each child the gates admit below a node ``left`` bridges short."""
+        for idx in range(start_idx, len(self.universe) - left + 1):
+            u, v = self.universe[idx]
+            if open_ >> u & 1:
+                # u's bridge is counted first, so it can open v's gate
+                reach = open_ | self.opens[u]
+                if reach >> v & 1:
+                    yield idx, u, v, reach | self.opens[v]
+
+    def leaves(self, start_idx: int, open_: int):
+        """(u, vs) for each u of a node one bridge short: vs holds the v whose leaf (u, v) the gates admit."""
+        u0, v0 = self.universe[start_idx]
+        for u in range(u0, self.spans[-1][0]):
+            if open_ >> u & 1:
+                vs = (open_ | self.opens[u]) & self.later[u]
+                yield u, vs & -1 << v0 if u == u0 else vs
+
+    def leaf_count(self, start_idx: int, open_: int, left: int) -> int:
+        """How many leaves lie below a node ``left`` bridges short."""
+        key = start_idx, open_, left
+        if key not in self.leaf_counts:
+            if left == 1:
+                self.leaf_counts[key] = sum(vs.bit_count() for _, vs in self.leaves(start_idx, open_))
+            else:
+                self.leaf_counts[key] = sum(self.leaf_count(idx + 1, child, left - 1)
+                                            for idx, _, _, child in self.children(start_idx, open_, left))
+        return self.leaf_counts[key]
 
     def leaf_rule(self, edges, k: int) -> tuple[list[int], int]:
         """The (k-1)-balls and the sources whose k-ball is not full.
@@ -222,8 +280,17 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
 
     universe = inst.universe
     last = len(universe)
-    opens, later, last_start = inst.opens, inst.later, inst.spans[-1][0]
     start = len(ordered) - 1  # fewer bridges cannot connect r communities
+
+    def refutes_all(near: list[int], short: int, u0: int) -> bool:
+        """True when a source in ``short`` has its whole (k-1)-ball below u0, so no bridge from u0 on comes near it."""
+        below = short & ((1 << u0) - 1)  # a ball holds its source
+        while below:
+            low = below & -below
+            below ^= low
+            if not near[low.bit_length() - 1] >> u0:
+                return True
+        return False
 
     def unrefuted(near: list[int], short: int, u: int, vs: int) -> int:
         """The v in ``vs`` whose leaf (u, v) the rule (near, short) leaves open."""
@@ -244,58 +311,65 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         found: tuple[Edge, ...] | None = None
         budget_hit = False
         before, checked, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
+        wholes = held = 0
 
-        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], gnear: list[int], gshort: int) -> bool:
-            """Returns True to stop the whole size-m pass; ``open_`` holds the nodes that may take a bridge."""
-            nonlocal examined, found, budget_hit, checked, parents, grown
-            if len(chosen) == m - 1:
-                # the leaves, one u at a time, all counted; this node grows balls only for a leaf the grandparent's rule leaves open
-                own, parents = None, parents + 1
-                u0, v0 = universe[start_idx]
-                for u in range(u0, last_start):
-                    if not open_ >> u & 1:
-                        continue
-                    vs = (open_ | opens[u]) & later[u]
-                    if u == u0:
-                        vs &= -1 << v0
-                    survivors = unrefuted(gnear, gshort, u, vs)
-                    if survivors and own is None:
-                        own, grown = inst.leaf_rule(chosen, k), grown + 1
-                    survivors = survivors and unrefuted(*own, u, survivors)
-                    while survivors:
-                        low = survivors & -survivors
-                        survivors ^= low
-                        v = low.bit_length() - 1
-                        position = examined + (vs & (low - 1)).bit_count() + 1
-                        if position > budget:
-                            break  # the count after this u passes the budget too
-                        checked += 1
-                        if inst.is_k_integrated((*chosen, (u, v)), k):
-                            examined, found = position, (*chosen, (u, v))
-                            return True
-                    examined += vs.bit_count()
-                    if examined > budget:
-                        examined, budget_hit = budget, True
+        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], near: list[int], short: int) -> bool:
+            """Returns True to stop the whole size-m pass.
+
+            ``open_`` holds the nodes that may take a bridge; ``short`` holds
+            the sources short in an ancestor with balls ``near`` and beyond
+            k - 1 hops of every bridge added since, so they are short here.
+            """
+            nonlocal examined, found, budget_hit, checked, parents, grown, wholes, held
+            left = m - len(chosen)
+            parents += left == 1
+            u0 = universe[start_idx][0]
+            whole = refutes_all(near, short, u0)
+            if not whole and 1 < left < 4:
+                near, short = inst.leaf_rule(chosen, k)
+                whole = refutes_all(near, short, u0)
+            if whole:
+                # every leaf below keeps that source short: count them, walk none
+                count = inst.leaf_count(start_idx, open_, left)
+                wholes, budget_hit = wholes + 1, examined + count > budget
+                count = min(count, budget - examined)
+                held, examined = held + count, examined + count
+                return budget_hit
+            if left > 1:
+                for idx, u, v, child in inst.children(start_idx, open_, left):
+                    if extend(idx + 1, child, (*chosen, (u, v)), near, short & ~near[u] & ~near[v]):
                         return True
                 return False
-            remaining = m - len(chosen)
-            # each child's rule: a source short here and beyond k - 1 hops of the child's and a leaf's bridge ends stays short
-            near, short = inst.leaf_rule(chosen, k) if remaining == 2 else (gnear, gshort)
-            for idx in range(start_idx, last - remaining + 1):
-                u, v = universe[idx]
-                if not open_ >> u & 1:
-                    continue
-                # u's bridge is counted first, so it can open v's gate
-                reach = open_ | opens[u]
-                if reach >> v & 1 and extend(idx + 1, reach | opens[v], (*chosen, (u, v)), near, short & ~near[u] & ~near[v]):
+            # the leaves, one u at a time, all counted; this node grows balls only for a leaf the inherited rule leaves open
+            own = None
+            for u, vs in inst.leaves(start_idx, open_):
+                survivors = unrefuted(near, short, u, vs)
+                if survivors and own is None:
+                    own, grown = inst.leaf_rule(chosen, k), grown + 1
+                survivors = survivors and unrefuted(*own, u, survivors)
+                while survivors:
+                    low = survivors & -survivors
+                    survivors ^= low
+                    v = low.bit_length() - 1
+                    position = examined + (vs & (low - 1)).bit_count() + 1
+                    if position > budget:
+                        break  # the count after this u passes the budget too
+                    checked += 1
+                    if inst.is_k_integrated((*chosen, (u, v)), k):
+                        examined, found = position, (*chosen, (u, v))
+                        return True
+                examined += vs.bit_count()
+                if examined > budget:
+                    examined, budget_hit = budget, True
                     return True
             return False
 
-        extend(0, inst.base, (), inst.community, 0)  # above the grandparents no source is known short
+        extend(0, inst.base, (), inst.community, 0)  # above three bridges short no source is known short
         sets = examined - before
         rate = sets / max(time.perf_counter() - began, 1e-9)
-        log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d of %d parents grew their own balls, "
-                 "%.0f sets/s, budget %d of %d used", m, sets, sets - checked, checked, grown, parents, rate, examined, budget)
+        log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d subtrees refuted whole holding %d sets, "
+                 "%d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
+                 m, sets, sets - checked, checked, wholes, held, grown, parents, rate, examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:

@@ -92,6 +92,16 @@ def test_search_work_is_pinned(sizes, k, budget, examined, exhausted, minimum, w
     assert verdict.certified is (minimum is not None)
 
 
+# budgets on the (3, 4, 2) row and the size each rules out, recorded by walking every
+# leaf: each side of the size-5 and size-6 totals (3,129 and 21,944 sets) and ten
+# draws of random.Random(12).randint(1, 143_333); 3,128, 21,943, 91,695, 126,495
+# and 138,709 run out inside a subtree whose leaves are counted, not walked
+ROW_342_RULED_OUT = {
+    2847: 4, 3128: 4, 3129: 5, 3130: 5, 21943: 5, 21944: 6, 21945: 6, 37382: 6,
+    70516: 6, 71841: 6, 91695: 6, 98240: 6, 100045: 6, 124406: 6, 126495: 6, 138709: 6,
+}
+
+
 def _boundary_cases():
     # budgets 1, E - 1, E, E + 1 and seeded draws around them, for each small unbudgeted row
     rng = random.Random(9)
@@ -100,11 +110,14 @@ def _boundary_cases():
         if budget is None and examined < 5_000:
             draws = {rng.randint(1, examined + 5) for _ in range(16)}
             for b in sorted({1, examined - 1, examined, examined + 1} | draws):
-                yield pytest.param(row, b, id=f"{sizes}-k{k}-b{b}")
+                yield pytest.param(row, b, None, id=f"{sizes}-k{k}-b{b}")
+    row = next(row for row in PINNED if row[:3] == ((4, 4, 4), 2, None))
+    for b, ruled_out in ROW_342_RULED_OUT.items():
+        yield pytest.param(row, b, ruled_out, id=f"{row[0]}-k2-b{b}")
 
 
-@pytest.mark.parametrize("row,budget", _boundary_cases())
-def test_budget_boundary_is_exact(row, budget):
+@pytest.mark.parametrize("row,budget,ruled_out", _boundary_cases())
+def test_budget_boundary_is_exact(row, budget, ruled_out):
     sizes, k, _, examined, exhausted, minimum, witness = row
     verdict = min_bridges_for_sizes(sizes, k, budget)
     if budget >= examined:
@@ -115,6 +128,7 @@ def test_budget_boundary_is_exact(row, budget):
         assert verdict.min_bridges is None and verdict.witness is None
         assert verdict.sets_examined == budget
         assert verdict.exhausted_size <= exhausted
+        assert ruled_out is None or verdict.exhausted_size == ruled_out
 
 
 @st.composite
@@ -125,11 +139,20 @@ def profile_and_bridges(draw, max_r, max_size):
     return sizes, universe, sorted(bridges)
 
 
-@given(profile_and_bridges(max_r=4, max_size=6), st.integers(1, 8))
+@given(profile_and_bridges(max_r=4, max_size=6), st.integers(1, 8), st.data())
 @settings(max_examples=300, deadline=None)
-def test_ball_kernel_matches_naive(case, k):
-    # size-1 communities and lopsided profiles such as (1, 6) included
-    sizes, _, bridges = case
+def test_ball_kernel_matches_naive(case, k, data):
+    # size-1 communities and lopsided profiles such as (1, 6) included; a check ends before its last
+    # round on a community with a node without a bridge, so some draws give every node of one
+    # community a bridge, and some take k at or past nodes - 1, where the rounds stop
+    sizes, universe, bridges = case
+    if data.draw(st.booleans()):
+        c = data.draw(st.integers(0, len(sizes) - 1))
+        for x in range(sum(sizes[:c]), sum(sizes[: c + 1])):
+            bridges.append(data.draw(st.sampled_from([e for e in universe if x in e])))
+        bridges = sorted(set(bridges))
+    if data.draw(st.booleans()):
+        k = sum(sizes) - 1 + data.draw(st.integers(0, 2))
     inst = oracle._instance(sizes)
     assert inst.is_k_integrated(bridges, k) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
 
@@ -159,13 +182,67 @@ def test_grandparent_rule_refutes_only_infeasible_sets(case, k, data):
         assert short & ~(near[u] | near[v])
 
 
-# leaf_rule calls (grandparents' and parents' together) and full checks on the
-# benchmark's rows: without the grandparent rule every parent grew its own balls,
-# 21,760, 2,549 and 27,210 calls, and the full checks were the same
+@given(profile_and_bridges(max_r=4, max_size=3), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_subtree_rule_refutes_only_infeasible_sets(case, k, data):
+    # a source short in Q whose whole (k - 1)-ball lies below u0 stays short in Q plus any
+    # bridges with both ends >= u0, so the search counts that subtree's leaves without walking it
+    sizes, universe, bridges = case
+    u0 = universe[data.draw(st.integers(0, len(universe) - 1))][0]
+    near, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    if any(short >> s & 1 and not near[s] >> u0 for s in range(sum(sizes))):
+        added = data.draw(st.lists(st.sampled_from([e for e in universe if e[0] >= u0]), unique=True))
+        assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + added, k)
+
+
+def _gates(sizes):
+    """Each node's gate, read off the symmetry rule: the previous slot, or slot 0 of an equal-size previous community."""
+    gate, lo = {}, 0
+    for c, size in enumerate(sizes):
+        gate[lo] = lo - size if c and sizes[c - 1] == size else None
+        gate.update((x, x - 1) for x in range(lo + 1, lo + size))
+        lo += size
+    return gate
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 3), (2, 2, 2), (3, 3, 3), (1, 1, 2, 2), (2, 2, 2, 2), (4, 4), (1, 2, 3, 4)])
+def test_leaf_count_matches_a_plain_walk(sizes):
+    # every start index, every open mask the gates can reach before it, 1 to 3 bridges left
+    inst = oracle._instance(sizes)
+    gate = _gates(sizes)
+    universe = inst.universe
+
+    def take(open_, x):
+        # x holds a bridge: it and the nodes it gates may take one
+        return open_ | {x} | {y for y, g in gate.items() if g == x}
+
+    def walk(open_, i, left):
+        if left == 0:
+            return 1
+        total = 0
+        for j in range(i, len(universe)):
+            u, v = universe[j]
+            if u in open_ and v in take(open_, u):
+                total += walk(take(take(open_, u), v), j + 1, left - 1)
+        return total
+
+    reachable = {frozenset(x for x, g in gate.items() if g is None)}
+    for i, (u, v) in enumerate(universe):
+        for open_ in reachable:
+            mask = sum(1 << x for x in open_)
+            for left in (1, 2, 3):
+                assert inst.leaf_count(i, mask, left) == walk(open_, i, left)
+        reachable |= {take(take(o, u), v) for o in reachable if u in o and v in take(o, u)}
+
+
+# leaf_rule calls (every level's together) and full checks on the benchmark's rows:
+# without the grandparent rule every parent grew its own balls, 21,760, 2,549 and
+# 27,210 calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; the full
+# checks were the same throughout
 LEAF_WORK = [
-    ((4, 4, 4), 2, None, 9_936, 1_618),
-    ((4, 4, 4, 4), 3, None, 2_004, 1_721),
-    ((4, 4, 4, 4), 2, 300_000, 7_988, 0),
+    ((4, 4, 4), 2, None, 8_516, 1_618),
+    ((4, 4, 4, 4), 3, None, 1_964, 1_721),
+    ((4, 4, 4, 4), 2, 300_000, 6_493, 0),
 ]
 
 
@@ -186,7 +263,9 @@ def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks):
 
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang; the first
-    # round starts from the community masks, so it is not a grow call
+    # round starts from the community masks, so it is not a grow call, and an
+    # infeasible check ends before its last round when a community without a
+    # bridge ({3, 4, 5} here) falls short
     inst = oracle._instance((1, 2, 3))
     grow = oracle._Instance.grow
     calls = 0
@@ -201,7 +280,7 @@ def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     assert calls == inst.node_count - 2
     calls = 0
     assert not inst.is_k_integrated([(0, 1)], 10**9)
-    assert calls == inst.node_count - 2
+    assert calls == inst.node_count - 3
     calls = 0
     inst.leaf_rule([(0, 1)], 10**9)
     assert calls == inst.node_count - 1
