@@ -42,8 +42,8 @@ def canonical_json(payload) -> str:
 def certificate_payload(g: graphmod.CommunityGraph, k_star: int | None) -> dict:
     """The quantities a construction is certified by; round-trips through analyze."""
     return {
-        "b": len(g.census.bridges),
-        "c": len(g.census.central),
+        "b": g.census.bridge_count,
+        "c": g.census.central_count,
         "k_star": k_star,
         "node_count": g.node_count,
         "r": g.community_count,
@@ -132,8 +132,8 @@ def cmd_analyze(edges_path, communities_path, ks, localize: bool = False, strict
             "community_count": g.community_count,
             "edge_count": g.edge_count,
             "local_edge_count": g.census.local_edge_count,
-            "bridge_count": len(g.census.bridges),
-            "central_node_count": len(g.census.central),
+            "bridge_count": g.census.bridge_count,
+            "central_node_count": g.census.central_count,
             "nodes": list(g.tokens),
             "communities": [
                 {"community": g.community_tokens[c], "size": size}

@@ -140,7 +140,7 @@ class Construction:
     claimed_c: int
 
 
-# generate holds the network whole, up to ~150 B an edge (complete join): ~1.5 GB at the limit
+# generate holds the network whole, up to ~80 B an edge (complete join): ~0.8 GB at the limit
 MAX_EDGES = 10_000_000
 
 

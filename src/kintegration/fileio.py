@@ -2,6 +2,7 @@
 
 Edge-list files are UTF-8 text with one edge per line as two
 whitespace-separated node tokens; lines starting with '#' are comments.
+A leading byte-order mark is dropped on read, in either file.
 Community files hold one "node_token community_token" line per node.
 Canonical output sorts nodes by token and edges lexicographically by
 token pair, with LF line endings, so serialization round-trips
@@ -71,9 +72,10 @@ def parse_community_map(text: str) -> dict[str, str]:
 
 
 def _read_text(path: str | os.PathLike) -> str:
+    # not utf-8-sig, which reads a file of only a BOM's first byte or two as empty text
     with open(path, encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             data = exc.object
             line = data.count(b"\n", 0, exc.start) + 1

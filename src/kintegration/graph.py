@@ -5,12 +5,12 @@ edges split into local edges (both endpoints in one community) and
 bridges (endpoints in different communities). A node is central when it
 is an endpoint of at least one bridge.
 
-Every graph computes its edge census (bridge list, central set and
-local-edge count) once, on first use, in one pass over the adjacency
+Every graph computes its edge census (bridge, central-node and
+local-edge counts) once, on first use, in one pass over the adjacency
 lists: per node, one C-level ``itemgetter`` call fetches the neighbours'
-communities and ``count`` finds those in its own, and bridges are listed
-only from the neighbours above a node whose count falls short of its
-degree. The edge tuple ``edges`` is built only when asked for.
+communities and ``count`` finds those in its own. The bridge list
+(``bridges``), the central set (``central_nodes``) and the edge tuple
+(``edges``) are built only when asked for.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ Edge = tuple[int, int]
 
 
 class EdgeCensus(NamedTuple):
-    """Bridges (u < v, in edge order), central nodes and the local-edge count of a graph."""
+    """The bridge, central-node and local-edge counts of a graph."""
 
-    bridges: tuple[Edge, ...]
-    central: frozenset[int]
+    bridge_count: int
+    central_count: int
     local_edge_count: int
 
 
@@ -47,7 +47,7 @@ class CommunityGraph:
     after construction and safe to share across concurrent readers.
 
     Invariant: ``adjacency[u]`` is strictly ascending and excludes u.
-    Every producer keeps it; the census, the twin-class key in ``metrics``
+    Every producer keeps it; ``bridges``, the twin-class key in ``metrics``
     and ``fileio.format_edge_list`` rely on it to split a neighbour tuple
     at u by bisection instead of sorting or filtering it.
     """
@@ -94,20 +94,12 @@ class CommunityGraph:
     def census(self) -> EdgeCensus:
         """The edge census, from one pass over the adjacency lists."""
         community_of = self.community_of
-        found: list[Edge] = []
-        central: list[int] = []
-        local_ends = 0
+        central = local_ends = 0
         for u, nbs in enumerate(self.adjacency):
-            cu = community_of[u]
-            comms = pick(community_of, nbs)
-            same = comms.count(cu)
+            same = pick(community_of, nbs).count(community_of[u])
             local_ends += same
-            if same != len(nbs):
-                central.append(u)
-                i = bisect_right(nbs, u)
-                if comms[i:].count(cu) != len(nbs) - i:
-                    found.extend((u, v) for v, c in zip(nbs[i:], comms[i:]) if c != cu)
-        return EdgeCensus(tuple(found), frozenset(central), local_ends // 2)
+            central += same != len(nbs)
+        return EdgeCensus(self.edge_count - local_ends // 2, central, local_ends // 2)
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
@@ -184,8 +176,13 @@ def intern_graph(
 
 
 def bridges(g: CommunityGraph) -> list[Edge]:
-    """Edges whose endpoints lie in different communities."""
-    return list(g.census.bridges)
+    """Edges whose endpoints lie in different communities, as (u, v) with u < v, by u then v."""
+    community_of = g.community_of
+    found: list[Edge] = []
+    for u, nbs in enumerate(g.adjacency):
+        cu = community_of[u]
+        found.extend((u, v) for v in nbs[bisect_right(nbs, u) :] if community_of[v] != cu)
+    return found
 
 
 def local_edges(g: CommunityGraph) -> list[Edge]:
@@ -195,7 +192,7 @@ def local_edges(g: CommunityGraph) -> list[Edge]:
 
 def central_nodes(g: CommunityGraph) -> set[int]:
     """Endpoints of bridges."""
-    return set(g.census.central)
+    return {x for edge in bridges(g) for x in edge}
 
 
 def is_locally_complete(

@@ -406,7 +406,7 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
         built = two_star(r, n)
     else:
         built = extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
-    initial = built.graph.census.bridges
+    initial = tuple(e for e in built.graph.edges if built.graph.is_bridge(*e))
     if not inst.is_k_integrated(initial, k):
         raise AssertionError("internal: seed bridge set failed its own check")
     rng = random.Random(seed)

@@ -136,8 +136,8 @@ def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
     r, n = model_shape(g)
     b_bound = bridge_threshold(r, n, k)
     c_required = central_threshold(r, n, k)
-    b = len(g.census.bridges)
-    c = len(g.census.central)
+    b = g.census.bridge_count
+    c = g.census.central_count
     if b < b_bound.lower:
         return SegregationVerdict(
             True, f"bridge count {b} is below the k={k} requirement {b_bound.lower}"

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kintegration import Bound, OracleVerdict, RowCheck, cli, fileio
+from kintegration import Bound, OracleVerdict, RowCheck, cli, fileio, graph
 from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
 
@@ -167,6 +167,20 @@ def test_non_utf8_input_exits_1(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+def test_byte_order_marks_do_not_reach_node_names(capsys, tmp_path):
+    edges, communities = b"a1 a2\na2 b1\nb1 b2\n", b"a1 A\na2 A\nb1 B\nb2 B\n"
+    args = ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt")]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "e.txt").write_bytes(bom + edges)
+        (tmp_path / "c.txt").write_bytes(bom + communities)
+        code, out, err = run(capsys, args)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "\ufeff" not in outputs[1]
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["analyze"]) == 1  # missing required flags
     capsys.readouterr()
@@ -321,6 +335,24 @@ def test_generate_failed_write_leaves_no_certificate(capsys, tmp_path, monkeypat
     assert err == "error: rename failed\n"
     assert not (out_dir / "certificate.json").exists()
     assert sorted(p.name for p in out_dir.iterdir()) == ["communities.txt", "edges.txt"]
+
+
+def test_analyze_generate_and_exhaustive_certify_list_no_bridges(capsys, tmp_path, monkeypatch):
+    def never(g):
+        raise AssertionError("listed the bridges of a graph")
+
+    # the census counts bridges and centrals; only an explicit request lists them
+    listers = [graph.bridges, graph.central_nodes]
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "kintegration":
+            for attr, value in vars(module).copy().items():
+                if any(value is lister for lister in listers):
+                    monkeypatch.setattr(module, attr, never)
+    out = str(tmp_path / "out")
+    assert run(capsys, ["analyze", *SAMPLE, "--k", "1,2,3"])[0] == 0
+    assert run(capsys, ["generate", "--family", "complete-join", "-r", "3", "-n", "4", "--out", out])[0] == 0
+    assert run(capsys, ["analyze", "--edges", out + "/edges.txt", "--communities", out + "/communities.txt"])[0] == 0
+    assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2,3"])[0] == 0
 
 
 def test_generate_rejects_bad_quotient(capsys):

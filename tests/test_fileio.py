@@ -259,6 +259,39 @@ def test_load_graph_reports_edge_error_before_missing_community_file(tmp_path):
         load_graph(tmp_path / "e.txt", tmp_path / "missing.txt")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("marked", [("e.txt",), ("c.txt",), ("e.txt", "c.txt")])
+def test_load_graph_drops_a_leading_byte_order_mark(tmp_path, marked):
+    files = {"e.txt": b"a b\nb c\n", "c.txt": b"a A\nb A\nc B\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    plain = load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+    for name in marked:
+        (tmp_path / name).write_bytes(BOM + files[name])
+    g = load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+    assert g == plain
+    assert g.tokens == ("a", "b", "c")
+
+
+@pytest.mark.parametrize(
+    "data, line, offset",
+    [
+        (BOM + b"\xffa b\n", 1, 3),  # an invalid byte right after the BOM
+        (BOM + b"a b\nb \xffc\n", 2, 9),
+        (b"\xef\xbb", 1, 0),  # the start of a BOM and nothing after it is not empty text
+    ],
+)
+def test_load_graph_reports_decode_errors_from_the_files_first_byte(tmp_path, data, line, offset):
+    (tmp_path / "e.txt").write_bytes(data)
+    (tmp_path / "c.txt").write_text("a A\nb A\nc B\n")
+    with pytest.raises(ParseError) as err:
+        load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+    assert err.value.line_number == line
+    assert str(err.value).endswith(f"is not UTF-8 text (byte {data[offset]:#04x} at offset {offset})")
+
+
 def test_load_graph_logs_collapsed_duplicates_on_plain_and_other_lines(tmp_path, caplog):
     (tmp_path / "c.txt").write_text("a A\nb A\nc B\n")
     for edges in ("a b\nb a\nb c\na b\n", "# comment\na b\nb a\nb c\na b\n", "a\tb\nb a\nb c\na  b\n"):

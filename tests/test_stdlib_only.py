@@ -1,0 +1,36 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kintegration"
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """The top-level name of every module ``path`` imports; a relative import counts as the package."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("kintegration" if node.level else node.module.partition(".")[0])
+    return roots
+
+
+def test_every_import_is_the_package_or_the_standard_library():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    assert len(sources) >= 10
+    outside = {
+        (path.name, root)
+        for path in sources
+        for root in _imported_roots(path)
+        if root != "kintegration" and root not in sys.stdlib_module_names
+    }
+    assert outside == set()
+
+
+def test_the_import_scan_sees_absolute_relative_and_nested_imports(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import os.path, numpy as np\nfrom . import graph\ndef f():\n    from scipy import sparse\n")
+    assert _imported_roots(source) == {"os", "numpy", "kintegration", "scipy"}

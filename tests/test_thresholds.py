@@ -72,7 +72,7 @@ def test_intermediate_band_reaches_its_lower_end():
     for r in range(3, 8):
         for n in (2, 3, r):
             g = extended_star(r, n, star_quotient(r)).graph
-            assert len(g.census.bridges) == r - 1
+            assert g.census.bridge_count == r - 1
             assert integration_level(g) == 4
     for r, n in ((4, 4), (5, 5)):
         row = check_threshold_row(r, n, 4)
