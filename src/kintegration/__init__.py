@@ -52,7 +52,6 @@ from .metrics import (
 )
 from .oracle import (
     OracleVerdict,
-    RandomizedBound,
     RowCheck,
     check_threshold_row,
     min_bridges_exhaustive,
@@ -87,7 +86,6 @@ __all__ = [
     "OracleVerdict",
     "ParseError",
     "QuotientGraph",
-    "RandomizedBound",
     "RowCheck",
     "SegregationVerdict",
     "SelfLoopError",

@@ -94,16 +94,16 @@ def _data_quality(g: graphmod.CommunityGraph) -> dict:
     isolated = [g.tokens[u] for u in range(g.node_count) if g.degree(u) == 0]
     missing_count = sum(s * (s - 1) // 2 for s in g.community_sizes) - g.census.local_edge_count
     # the pair scan only runs to name witnesses when the census says some are missing
-    complete, missing = graphmod.is_locally_complete(g, max_witnesses=10) if missing_count else (True, [])
+    missing = graphmod.is_locally_complete(g, max_witnesses=10)[1] if missing_count else []
     notes = []
     if isolated:
         notes.append(f"{len(isolated)} isolated node(s)")
-    if not complete:
+    if missing_count:
         notes.append(f"communities are missing {missing_count} internal edge(s)")
     return {
         "isolated_node_count": len(isolated),
         "isolated_nodes_sample": isolated[:10],
-        "locally_complete": complete,
+        "locally_complete": not missing_count,
         "missing_local_pair_count": missing_count,
         "missing_local_pairs_sample": [[g.tokens[a], g.tokens[b]] for a, b in missing],
         "notes": notes,
@@ -233,51 +233,30 @@ def cmd_certify(
     if mode not in {"exhaustive", "randomized"}:
         raise InvalidParamsError(f"unknown mode {mode!r}")
     rows = []
-    disagreement = False
-    exhausted = False
     for k in ks:
+        # the table refuses a request it does not cover before any search runs
+        bound = thresholds.bridge_threshold(r, n, k)
+        centrals_required = thresholds.central_threshold(r, n, k)
+        row = {"k": k, "bound": _bound_row(bound), "centrals_required": centrals_required}
         if mode == "exhaustive":
             rc = oracle.check_threshold_row(r, n, k, budget=budget)
-            rows.append(
-                {
-                    "k": k,
-                    "bound": _bound_row(rc.bound),
-                    "centrals_required": rc.centrals_required,
-                    "min_bridges": rc.verdict.min_bridges,
-                    "certified": rc.verdict.certified,
-                    "sets_examined": rc.verdict.sets_examined,
-                    "exhausted_size": rc.verdict.exhausted_size,
-                    "witness": None if rc.verdict.witness is None else [list(e) for e in rc.verdict.witness],
-                    "witness_centrals": rc.witness_centrals,
-                    "agrees": rc.agrees,
-                }
+            witness, agrees = rc.verdict.witness, rc.agrees
+            row.update(
+                min_bridges=rc.verdict.min_bridges,
+                certified=rc.verdict.certified,
+                sets_examined=rc.verdict.sets_examined,
+                exhausted_size=rc.verdict.exhausted_size,
+                witness_centrals=None if witness is None else len({node for edge in witness for node in edge}),
             )
-            if rc.agrees is False:
-                disagreement = True
-            elif rc.agrees is None:
-                exhausted = True
         else:
-            bound = thresholds.bridge_threshold(r, n, k)
-            centrals_required = thresholds.central_threshold(r, n, k)
-            rb = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
-            # a feasible witness below either predicted minimum disproves it
-            agrees = (
-                rb.upper_bound >= bound.lower
-                and len({node for edge in rb.witness for node in edge}) >= centrals_required
-            )
-            rows.append(
-                {
-                    "k": k,
-                    "bound": _bound_row(bound),
-                    "centrals_required": centrals_required,
-                    "upper_bound": rb.upper_bound,
-                    "witness": [list(e) for e in rb.witness],
-                    "agrees": agrees,
-                }
-            )
-            if not agrees:
-                disagreement = True
-    code = 3 if disagreement else 2 if exhausted else 0
+            witness = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
+            agrees = oracle.fits_row(bound, centrals_required, witness, exact=False)
+            row["upper_bound"] = len(witness)
+        row["witness"] = None if witness is None else [list(e) for e in witness]
+        row["agrees"] = agrees
+        rows.append(row)
+    agreements = {row["agrees"] for row in rows}
+    code = 3 if False in agreements else 2 if None in agreements else 0
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "certify",
@@ -288,7 +267,7 @@ def cmd_certify(
         "seed": seed,
         "trials": trials,
         "rows": rows,
-        "result": "disagree" if disagreement else "exhausted" if exhausted else "agree",
+        "result": {0: "agree", 2: "exhausted", 3: "disagree"}[code],
     }
     return payload, code
 

@@ -23,6 +23,8 @@ errors and line numbers are those of ``parse_edge_list``,
 ``format_edge_list`` writes each node's edges to its higher neighbours
 as one joined block when the tokens already sort in id order (as in
 every generated construction), and sorts token pairs otherwise.
+``to_dot`` writes its edges node block by node block in either case,
+each pair in token order; neither builds the graph's edge tuple.
 """
 
 from __future__ import annotations
@@ -198,21 +200,18 @@ def _dot_quote(token: str) -> str:
 
 def to_dot(g: CommunityGraph, name: str = "network") -> str:
     """DOT rendering with communities as clusters and bridges highlighted."""
-    lines = [f"graph {_dot_quote(name)} {{"]
-    lines.append("  node [shape=circle];")
+    tokens, community_of = g.tokens, g.community_of
+    quoted = [_dot_quote(token) for token in tokens]
+    blocks = [f"graph {_dot_quote(name)} {{\n  node [shape=circle];\n"]
     for c, members in enumerate(g.community_members):
-        lines.append(f"  subgraph cluster_{c} {{")
-        lines.append(f"    label={_dot_quote(g.community_tokens[c])};")
-        for u in sorted(members, key=lambda u: g.tokens[u]):
-            lines.append(f"    {_dot_quote(g.tokens[u])};")
-        lines.append("  }")
-    for u, v in g.edges:
-        tu, tv = g.tokens[u], g.tokens[v]
-        if tu > tv:
-            tu, tv = tv, tu
-        if g.is_bridge(u, v):
-            lines.append(f"  {_dot_quote(tu)} -- {_dot_quote(tv)} [color=red, penwidth=2.0];")
-        else:
-            lines.append(f"  {_dot_quote(tu)} -- {_dot_quote(tv)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes = "".join(f"    {quoted[u]};\n" for u in sorted(members, key=tokens.__getitem__))
+        blocks.append(f"  subgraph cluster_{c} {{\n    label={_dot_quote(g.community_tokens[c])};\n{nodes}  }}\n")
+    for u, nbs in enumerate(g.adjacency):
+        tu, cu = tokens[u], community_of[u]
+        blocks.append("".join(
+            (f"  {quoted[u]} -- {quoted[v]}" if tu < tokens[v] else f"  {quoted[v]} -- {quoted[u]}")
+            + (" [color=red, penwidth=2.0];\n" if community_of[v] != cu else ";\n")
+            for v in nbs[bisect.bisect_right(nbs, u) :]
+        ))
+    blocks.append("}\n")
+    return "".join(blocks)

@@ -47,8 +47,8 @@ class CommunityGraph:
     after construction and safe to share across concurrent readers.
 
     Invariant: ``adjacency[u]`` is strictly ascending and excludes u.
-    Every producer keeps it; ``bridges``, the twin-class key in ``metrics``
-    and ``fileio.format_edge_list`` rely on it to split a neighbour tuple
+    Every producer keeps it; ``bridges``, the twin-class key in ``metrics``,
+    ``fileio.format_edge_list`` and ``fileio.to_dot`` rely on it to split a neighbour tuple
     at u by bisection instead of sorting or filtering it.
     """
 

@@ -96,24 +96,10 @@ class OracleVerdict:
 
 
 @dataclass(frozen=True)
-class RandomizedBound:
-    """Feasible (hence upper-bounding) bridge set found by local search."""
-
-    witness: tuple[Edge, ...]
-
-    @property
-    def upper_bound(self) -> int:
-        return len(self.witness)
-
-
-@dataclass(frozen=True)
 class RowCheck:
-    """Certified search outcome compared against one threshold row."""
+    """A certified search and whether it agrees with its threshold row (None when the budget ran out)."""
 
-    bound: Bound
-    centrals_required: int
     verdict: OracleVerdict
-    witness_centrals: int | None
     agrees: bool | None
 
 
@@ -385,13 +371,13 @@ def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET)
     return min_bridges_for_sizes((n,) * r, k, budget=budget)
 
 
-def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int = 0) -> RandomizedBound:
-    """Upper bound on the minimum bridge count via shuffle-and-prune.
+def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int = 0) -> tuple[Edge, ...]:
+    """A feasible bridge set found by shuffle-and-prune, sorted; its size bounds the minimum from above.
 
     Each trial starts from a known feasible set, removes edges in random
     order (keeping the set feasible), then tries random edge swaps to
-    escape local minima.  The returned witness is always verified
-    feasible, so the bound is sound even though it may not be tight.
+    escape local minima.  The returned set is always verified feasible,
+    so the bound is sound even though it may not be tight.
     """
     require_int("r", r, 1)
     require_int("n", n, 1)
@@ -399,7 +385,7 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     require_int("trials", trials, 1)
     if r == 1 or k == 1:
         # the exact search settles both at once: no bridges, or every cross pair
-        return RandomizedBound(min_bridges_exhaustive(r, n, k).witness)
+        return min_bridges_exhaustive(r, n, k).witness
     inst = _instance((n,) * r)
     # the construction meeting this k row; its node ids follow the search's layout
     if k == 2:
@@ -451,25 +437,29 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
                 current = pruned
         if len(current) < len(best):
             best = tuple(sorted(current))
-    return RandomizedBound(best)
+    return best
+
+
+def fits_row(bound: Bound, centrals_required: int, witness, exact: bool) -> bool:
+    """Whether the feasible bridge set ``witness`` agrees with a threshold row.
+
+    The row's counts are necessary: fewer than ``bound.lower`` bridges or
+    ``centrals_required`` distinct ends disprove it.  Only a certified
+    minimum (``exact``) must also stay within ``bound.upper``.
+    """
+    centrals = len({node for edge in witness for node in edge})
+    return bound.lower <= len(witness) and (not exact or len(witness) <= bound.upper) and centrals >= centrals_required
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:
-    """Compare the certified minimum against the threshold row for (r, n, k).
+    """The certified search for (r, n, k) and whether it agrees with the threshold row.
 
-    ``agrees`` is None when the search exhausted its budget, True when
-    the measured minimum lands inside the predicted bridge bound and
-    the witness uses at least the required number of central nodes,
-    False otherwise.  A False here means a verified counterexample.
+    ``agrees`` is None when the search exhausted its budget, and otherwise
+    ``fits_row`` of the minimum's witness.  A False here means a verified
+    counterexample.
     """
     bound = bridge_threshold(r, n, k)
     centrals_required = central_threshold(r, n, k)
     verdict = min_bridges_exhaustive(r, n, k, budget=budget)
-    if verdict.min_bridges is None:
-        return RowCheck(bound, centrals_required, verdict, None, None)
-    witness_centrals = len({node for edge in verdict.witness for node in edge})
-    agrees = (
-        bound.lower <= verdict.min_bridges <= bound.upper
-        and witness_centrals >= centrals_required
-    )
-    return RowCheck(bound, centrals_required, verdict, witness_centrals, agrees)
+    agrees = fits_row(bound, centrals_required, verdict.witness, exact=True) if verdict.certified else None
+    return RowCheck(verdict, agrees)

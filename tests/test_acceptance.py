@@ -87,9 +87,7 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
     fake_verdict = OracleVerdict(
         sizes=(2, 2), min_bridges=1, witness=((0, 2),), sets_examined=5, exhausted_size=0,
     )
-    fake_row = RowCheck(
-        bound=Bound(2, 2), centrals_required=3, verdict=fake_verdict, witness_centrals=2, agrees=False,
-    )
+    fake_row = RowCheck(verdict=fake_verdict, agrees=False)
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     assert cli.main(["certify", "-r", "2", "-n", "2", "--k", "2"]) == 3
     capsys.readouterr()

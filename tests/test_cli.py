@@ -37,6 +37,21 @@ def test_certify_matches_golden(capsys, golden_dir):
     assert out == (golden_dir / "certify_r2_n2.json").read_text()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("csv", "csv"), ("text", "txt")])
+def test_certify_randomized_matches_golden(capsys, golden_dir, fmt, suffix):
+    argv = ["certify", "-r", "3", "-n", "3", "--k", "2,3", "--mode", "randomized", "--seed", "5", "--trials", "6"]
+    code, out, err = run(capsys, [*argv, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == (golden_dir / f"certify_randomized_r3_n3.{suffix}").read_text()
+
+
+def test_certify_exhausted_budget_matches_golden(capsys, golden_dir):
+    # no row is certified, so its witness, witness_centrals and agrees are null
+    code, out, err = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2,3", "--budget", "4"])
+    assert (code, err) == (2, "")
+    assert out == (golden_dir / "certify_budget4_r3_n3.json").read_text()
+
+
 def test_analyze_csv(capsys):
     code, out, _ = run(capsys, ["analyze", *SAMPLE, "--k", "2,5", "--format", "csv"])
     assert code == 0
@@ -234,9 +249,7 @@ def test_certify_disagreement_exits_3(capsys, monkeypatch):
     fake_verdict = OracleVerdict(
         sizes=(2, 2), min_bridges=1, witness=((0, 2),), sets_examined=7, exhausted_size=0,
     )
-    fake_row = RowCheck(
-        bound=Bound(2, 2), centrals_required=3, verdict=fake_verdict, witness_centrals=2, agrees=False,
-    )
+    fake_row = RowCheck(verdict=fake_verdict, agrees=False)
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     code, out, _ = run(capsys, ["certify", "-r", "2", "-n", "2", "--k", "2"])
     assert code == 3
@@ -353,6 +366,19 @@ def test_analyze_generate_and_exhaustive_certify_list_no_bridges(capsys, tmp_pat
     assert run(capsys, ["generate", "--family", "complete-join", "-r", "3", "-n", "4", "--out", out])[0] == 0
     assert run(capsys, ["analyze", "--edges", out + "/edges.txt", "--communities", out + "/communities.txt"])[0] == 0
     assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2,3"])[0] == 0
+
+
+def test_generate_dot_builds_no_edge_tuple(capsys, tmp_path, monkeypatch):
+    def never(g):
+        raise AssertionError("built the edge tuple of a graph")
+
+    # the DOT file is written from the adjacency, node block by node block
+    monkeypatch.setattr(graph.CommunityGraph, "edges", property(never))
+    out = tmp_path / "out"
+    argv = ["generate", "--family", "extended-star", "-r", "4", "-n", "3", "--quotient", "path", "--out", str(out), "--dot"]
+    assert run(capsys, argv)[0] == 0
+    dot = (out / "graph.dot").read_text()
+    assert dot.count(" -- ") == 4 * 3 + 3 and dot.count("penwidth=2.0") == 3
 
 
 def test_generate_rejects_bad_quotient(capsys):

@@ -87,13 +87,33 @@ def test_dot_marks_bridges_and_clusters(sample_graph):
     assert dot.count("penwidth=2.0") == 2
     assert '"01" -- "02";' in dot
     assert 'label="c1";' in dot
+    assert dot == _dot_reference(sample_graph, name="sample")
 
 
 def test_dot_quotes_awkward_tokens():
-    g = build_graph([('he"llo', "wo rld")], {'he"llo': "c", "wo rld": "c"})
+    g = build_graph([('he"llo', "wo rld"), ("wo rld", "a\\b")], {'he"llo': "c", "wo rld": "c", "a\\b": "d"})
     dot = to_dot(g)
     assert '"he\\"llo"' in dot
     assert '"wo rld"' in dot
+    assert '"a\\\\b" -- "wo rld" [color=red, penwidth=2.0];' in dot
+    assert dot == _dot_reference(g)
+
+
+def _dot_reference(g, name="network"):
+    """DOT text built from the graph's edge tuple, one line per edge, then joined."""
+    quote = lambda token: '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    lines = [f"graph {quote(name)} {{", "  node [shape=circle];"]
+    for c, members in enumerate(g.community_members):
+        lines.append(f"  subgraph cluster_{c} {{")
+        lines.append(f"    label={quote(g.community_tokens[c])};")
+        lines.extend(f"    {quote(g.tokens[u])};" for u in sorted(members, key=lambda u: g.tokens[u]))
+        lines.append("  }")
+    for u, v in g.edges:
+        tu, tv = sorted((g.tokens[u], g.tokens[v]))
+        style = " [color=red, penwidth=2.0]" if g.is_bridge(u, v) else ""
+        lines.append(f"  {quote(tu)} -- {quote(tv)}{style};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _token_pair_reference(g):
@@ -150,6 +170,8 @@ def test_format_edge_list_matches_token_pair_definition(data):
             [(key(a), key(b)) for a, b in edges], {key(k): k % 3 for k in keys}
         )
         assert format_edge_list(g) == _token_pair_reference(g)
+        # to_dot walks the same node blocks; int keys put "10" before "9", so each pair must be reordered
+        assert to_dot(g, name='n"et') == _dot_reference(g, name='n"et')
 
 
 # Loader equivalence: load_graph (one pass over each file) against the

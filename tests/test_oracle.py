@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kintegration import (
+    Bound,
     InvalidParamsError,
     bridge_threshold,
     check_threshold_row,
@@ -341,15 +342,15 @@ def test_lopsided_sizes_are_refused_before_building(monkeypatch):
 def test_randomized_upper_bound_is_sound():
     for r, n, k in [(2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 3, 4)]:
         certified = min_bridges_exhaustive(r, n, k).min_bridges
-        rb = min_bridges_randomized(r, n, k, trials=8, seed=3)
-        assert rb.upper_bound >= certified
+        witness = min_bridges_randomized(r, n, k, trials=8, seed=3)
+        assert len(witness) >= certified
         base = naive.local_edges((n,) * r)
-        assert naive.is_k_integrated(r * n, base + list(rb.witness), k)
+        assert naive.is_k_integrated(r * n, base + list(witness), k)
 
 
 def test_randomized_finds_exact_minimum_on_easy_cases():
-    assert min_bridges_randomized(2, 2, 3, trials=4, seed=0).upper_bound == 1
-    assert min_bridges_randomized(3, 2, 2, trials=10, seed=1).upper_bound == 4
+    assert len(min_bridges_randomized(2, 2, 3, trials=4, seed=0)) == 1
+    assert len(min_bridges_randomized(3, 2, 2, trials=10, seed=1)) == 4
 
 
 @pytest.mark.parametrize(
@@ -365,26 +366,50 @@ def test_randomized_finds_exact_minimum_on_easy_cases():
 )
 def test_randomized_witness_is_pinned(r, n, k, seed, trials, witness):
     # the swaps draw from the RNG in a fixed order, so a seed names one witness
-    assert min_bridges_randomized(r, n, k, trials=trials, seed=seed).witness == witness
+    assert min_bridges_randomized(r, n, k, trials=trials, seed=seed) == witness
 
 
 def test_randomized_k1_and_r1():
-    assert min_bridges_randomized(1, 5, 2).upper_bound == 0
-    assert min_bridges_randomized(2, 2, 1).upper_bound == 4
+    assert min_bridges_randomized(1, 5, 2) == ()
+    assert len(min_bridges_randomized(2, 2, 1)) == 4
+
+
+STAR = ((0, 4), (0, 8), (0, 12))  # 3 bridges, 4 ends, on four communities of 4
+TRIANGLE = ((0, 4), (0, 8), (4, 8))  # 3 bridges, 3 ends
+SIX = ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))  # 6 bridges, 4 ends
+
+
+@pytest.mark.parametrize(
+    "witness, exact, agrees",
+    [
+        pytest.param(STAR, True, True, id="exactly-lower-bridges"),
+        pytest.param(STAR[:2], True, False, id="one-bridge-fewer"),
+        pytest.param(((0, 4), (8, 12)), False, False, id="one-bridge-fewer-all-ends"),
+        pytest.param(TRIANGLE, True, False, id="one-central-fewer"),
+        pytest.param(TRIANGLE, False, False, id="one-central-fewer-randomized"),
+        pytest.param(SIX[:5], True, True, id="certified-at-upper"),
+        pytest.param(SIX, True, False, id="certified-above-upper"),
+        pytest.param(SIX, False, True, id="randomized-above-upper"),
+    ],
+)
+def test_fits_row_boundaries(witness, exact, agrees):
+    # the row needs 3 to 5 bridges and 4 centrals
+    assert oracle.fits_row(Bound(3, 5), 4, witness, exact) is agrees
 
 
 def test_check_threshold_row_agreement():
     rc = check_threshold_row(3, 3, 2)
     assert rc.agrees is True
     assert rc.verdict.min_bridges == 6
-    assert rc.witness_centrals == 7
-    assert rc.centrals_required == 7
+    # the two-star: one hub bridged to the six nodes outside its community, 7 centrals
+    assert rc.verdict.witness == tuple((0, v) for v in range(3, 9))
 
 
 def test_check_threshold_row_interval():
+    # the row's bound is the interval [3, 6]; the minimum, a star on the hubs, sits at its lower end
     rc = check_threshold_row(4, 4, 4)
-    assert rc.bound.lower == 3 and rc.bound.upper == 6
     assert rc.verdict.min_bridges == 3
+    assert rc.verdict.witness == ((0, 4), (0, 8), (0, 12))
     assert rc.agrees is True
 
 
