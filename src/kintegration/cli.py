@@ -192,7 +192,7 @@ def cmd_generate(
 ) -> dict:
     built = build_construction(family, r, n, quotient_spec)
     g = built.graph
-    cert = certificate_payload(g, metrics.build_report(g, ()).k_star)
+    cert = certificate_payload(g, metrics.integration_level(g))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # every file is replaced atomically and the certificate goes last, so if
@@ -201,8 +201,8 @@ def cmd_generate(
     (out / "certificate.json").unlink(missing_ok=True)
     fileio.write_graph(g, out / "edges.txt", out / "communities.txt")
     if dot:
-        fileio.write_text_atomic(out / "graph.dot", fileio.to_dot(g))
-    fileio.write_text_atomic(out / "certificate.json", canonical_json(cert) + "\n")
+        fileio.write_text_atomic(out / "graph.dot", fileio.dot_blocks(g))
+    fileio.write_text_atomic(out / "certificate.json", [canonical_json(cert) + "\n"])
     files = ["edges.txt", "communities.txt", "certificate.json"]
     if dot:
         files.append("graph.dot")

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCommunityCountError,
     require_int,
 )
-from .graph import CommunityGraph, Edge
+from .graph import CommunityGraph, Edge, build_graph
 
 
 @dataclass(frozen=True)
@@ -62,21 +62,17 @@ class QuotientGraph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbs: list[set[int]] = [set() for _ in range(self.r)]
-        for u, v in self.edges:
-            nbs[u].add(v)
-            nbs[v].add(u)
-        return tuple(tuple(sorted(s)) for s in nbs)
-
-    @cached_property
     def diameter(self) -> int | None:
-        """Exact diameter, or None when disconnected."""
-        return metrics.diameter(self.adjacency)
+        """Exact diameter, or None when disconnected: the integration level of one node per community."""
+        return metrics.integration_level(build_graph(self.edges, {c: c for c in range(self.r)}))
 
 
 def complete_quotient(r: int) -> QuotientGraph:
     require_int("r", r, 1)
+    # refused in closed form: a network on more quotient edges than MAX_EDGES never passes _check_size
+    edges = r * (r - 1) // 2
+    if edges > MAX_EDGES:
+        raise InvalidParamsError(f"a complete quotient on r={r} has {edges} edges, more than the limit of {MAX_EDGES}")
     return QuotientGraph(r, tuple(itertools.combinations(range(r), 2)))
 
 
@@ -228,10 +224,10 @@ def extended_star(r: int, n: int, quotient: QuotientGraph) -> Construction:
     require_int("n", n, 1)
     if quotient.r != r:
         raise InvalidParamsError(f"quotient has {quotient.r} vertices, expected {r}")
+    _check_size(r, n, len(quotient.edges))
     d = quotient.diameter
     if d is None:
         raise DisconnectedQuotientError("extended star needs a connected quotient")
-    _check_size(r, n, len(quotient.edges))
     bridge_edges = [(i * n, j * n) for i, j in quotient.edges]
     return Construction(
         graph=_assemble(r, n, bridge_edges),

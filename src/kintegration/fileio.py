@@ -23,8 +23,9 @@ errors and line numbers are those of ``parse_edge_list``,
 ``format_edge_list`` writes each node's edges to its higher neighbours
 as one joined block when the tokens already sort in id order (as in
 every generated construction), and sorts token pairs otherwise.
-``to_dot`` writes its edges node block by node block in either case,
-each pair in token order; neither builds the graph's edge tuple.
+``dot_blocks`` yields the DOT text one cluster or node's edges at a
+time, each pair in token order, and ``to_dot`` joins the blocks;
+neither writer builds the graph's edge tuple.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import bisect
 import operator
 import os
+from typing import Iterable, Iterator
 
 from .errors import EmptyCommunityMapError, KIntegrationError, ParseError, SelfLoopError, UnknownNodeError
 from .graph import CommunityGraph, edge_ids, index_nodes, intern_graph, pick
@@ -156,9 +158,10 @@ def format_community_map(g: CommunityGraph) -> str:
     return "".join(f"{node} {community}\n" for node, community in lines)
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write UTF-8 text with LF endings to a temp file beside ``path``, then rename it over ``path``.
+def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 text with LF endings to a temp file beside ``path``, then rename it over ``path``.
 
+    Chunks are written one by one, so a generator's text is never held whole.
     A failure leaves ``path`` as it was and removes the temp file. Nothing
     is fsynced, so the rename is atomic for other processes, not across a
     power loss.
@@ -167,7 +170,7 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -190,28 +193,32 @@ def write_graph(
         for token in tokens:
             if token.split() != [token] or (kind == "node" and token.startswith("#")):
                 raise KIntegrationError(f"{kind} name {token!r} cannot be written to a graph file")
-    write_text_atomic(edges_path, format_edge_list(g))
-    write_text_atomic(communities_path, format_community_map(g))
+    write_text_atomic(edges_path, [format_edge_list(g)])
+    write_text_atomic(communities_path, [format_community_map(g)])
 
 
 def _dot_quote(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: CommunityGraph, name: str = "network") -> str:
-    """DOT rendering with communities as clusters and bridges highlighted."""
+def dot_blocks(g: CommunityGraph, name: str = "network") -> Iterator[str]:
+    """DOT rendering with communities as clusters and bridges highlighted, one block at a time."""
     tokens, community_of = g.tokens, g.community_of
     quoted = [_dot_quote(token) for token in tokens]
-    blocks = [f"graph {_dot_quote(name)} {{\n  node [shape=circle];\n"]
+    yield f"graph {_dot_quote(name)} {{\n  node [shape=circle];\n"
     for c, members in enumerate(g.community_members):
         nodes = "".join(f"    {quoted[u]};\n" for u in sorted(members, key=tokens.__getitem__))
-        blocks.append(f"  subgraph cluster_{c} {{\n    label={_dot_quote(g.community_tokens[c])};\n{nodes}  }}\n")
+        yield f"  subgraph cluster_{c} {{\n    label={_dot_quote(g.community_tokens[c])};\n{nodes}  }}\n"
     for u, nbs in enumerate(g.adjacency):
         tu, cu = tokens[u], community_of[u]
-        blocks.append("".join(
+        yield "".join(
             (f"  {quoted[u]} -- {quoted[v]}" if tu < tokens[v] else f"  {quoted[v]} -- {quoted[u]}")
             + (" [color=red, penwidth=2.0];\n" if community_of[v] != cu else ";\n")
             for v in nbs[bisect.bisect_right(nbs, u) :]
-        ))
-    blocks.append("}\n")
-    return "".join(blocks)
+        )
+    yield "}\n"
+
+
+def to_dot(g: CommunityGraph, name: str = "network") -> str:
+    """The DOT text, ``dot_blocks`` joined."""
+    return "".join(dot_blocks(g, name))

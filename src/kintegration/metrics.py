@@ -12,9 +12,12 @@ one level-synchronous kernel: every class keeps its closed ball as an
 int bitset, and each round ORs in the balls of its neighbours, so round
 k holds exactly the classes within distance k. The rounds stop at
 closure, when one more round would change nothing. Two rounds of balls
-are alive at a time, about classes**2 / 8 bytes each. Single-source
-queries and witness distances use plain BFS. The reported witness is
-always the one from the lowest-numbered violating source.
+are alive at a time, about classes**2 / 8 bytes each, so a graph with
+more than MAX_CLASSES twin classes is refused before the first round.
+Only ``build_report`` turns the rounds into k*, which ``integration_level``
+and ``QuotientGraph.diameter`` read. Single-source queries and witness
+distances use plain BFS. The reported witness is always the one from
+the lowest-numbered violating source.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidNodeError, require_int
+from .errors import InvalidNodeError, KIntegrationError, require_int
 from .graph import CommunityGraph, Edge
 
 UNREACHED = -1
+
+# two rounds of balls hold 2 * classes**2 / 8 bytes: ~0.9 GB at the limit
+MAX_CLASSES = 60_000
 
 
 @dataclass(frozen=True)
@@ -114,19 +120,6 @@ def _ball_levels(adjacency: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         balls = grown
 
 
-def _closure_diameter(level: int, balls: list[int]) -> int | None:
-    """Diameter from the closed balls reached at ``level``: None unless all are full."""
-    full = (1 << len(balls)) - 1
-    return level if all(ball == full for ball in balls) else None
-
-
-def diameter(adjacency: Sequence[Sequence[int]]) -> int | None:
-    """Exact diameter of a non-empty graph given as adjacency lists; None when disconnected."""
-    for level, balls in enumerate(_ball_levels(adjacency)):
-        pass
-    return _closure_diameter(level, balls)
-
-
 class _TwinQuotient:
     """Nodes grouped by closed neighborhood, plus the class-level graph.
 
@@ -143,6 +136,8 @@ class _TwinQuotient:
         for u, nbs in enumerate(g.adjacency):
             i = bisect_left(nbs, u)
             groups.setdefault(nbs[:i] + (u,) + nbs[i:], []).append(u)
+        if len(groups) > MAX_CLASSES:
+            raise KIntegrationError(f"the graph has {len(groups)} twin classes, more than the limit of {MAX_CLASSES}")
         classes = sorted(groups.values(), key=lambda members: members[0])
         class_of = [0] * g.node_count
         for ci, members in enumerate(classes):
@@ -163,12 +158,6 @@ class _TwinQuotient:
         self.node_count = g.node_count
         self.classes: list[list[int]] = classes
         self.adjacency: list[tuple[int, ...]] = adjacency
-
-    def k_star(self, diameter: int | None) -> int | None:
-        """The integration level for a class-graph diameter: members of one class sit at distance 1."""
-        if diameter is not None and len(self.classes) < self.node_count:
-            return max(diameter, 1)
-        return diameter
 
     def verdict(self, k: int, balls: list[int]) -> KVerdict:
         """The k-verdict from the level-k balls.
@@ -215,8 +204,7 @@ class _TwinQuotient:
 
 def integration_level(g: CommunityGraph) -> int | None:
     """The graph diameter (minimal k with the graph k-integrated); None if disconnected."""
-    q = _TwinQuotient(g)
-    return q.k_star(diameter(q.adjacency))
+    return build_report(g, ()).k_star
 
 
 def is_k_integrated(g: CommunityGraph, k: int) -> KVerdict:
@@ -252,8 +240,14 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
         if k > level:
             verdicts[k] = q.verdict(k, balls)
             reach[k] = q.reach_counts(k, balls)
+    # a connected class graph closes at its diameter, with every ball full
+    full = (1 << len(balls)) - 1
+    k_star = None
+    if all(ball == full for ball in balls):
+        # members of one class sit at distance 1
+        k_star = max(level, 1) if len(balls) < q.node_count else level
     return IntegrationReport(
-        k_star=q.k_star(_closure_diameter(level, balls)),
+        k_star=k_star,
         per_k=tuple(verdicts[k] for k in ks),
         reach_profile={k: reach[k] for k in ks},
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kintegration import Bound, OracleVerdict, RowCheck, cli, fileio, graph
+from kintegration import Bound, OracleVerdict, QuotientGraph, RowCheck, cli, fileio, graph, metrics
 from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
 
@@ -430,6 +430,53 @@ def test_oversized_requests_are_refused_before_building(capsys, tmp_path, monkey
         code, out, err = run(capsys, ["certify", "-r", "8", "-n", "1000", "--k", "2", "--mode", mode])
         assert (code, out) == (1, "")
         assert err == "error: 8 communities of 8000 nodes give 28000000 cross pairs, more than the limit of 100000\n"
+
+
+def test_graphs_over_the_class_limit_are_refused_before_the_kernel(capsys, tmp_path, monkeypatch):
+    def never(adjacency):
+        raise AssertionError("the distance kernel ran")
+
+    # two-star r=4, n=2 has 5 twin classes: the hub, its community mate, and each other community
+    monkeypatch.setattr(metrics, "MAX_CLASSES", 4)
+    monkeypatch.setattr(metrics, "_ball_levels", never)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, ["generate", "--family", "two-star", "-r", "4", "-n", "2", "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert err == "error: the graph has 5 twin classes, more than the limit of 4\n"
+    assert not (out / "certificate.json").exists()
+    # the sample's 12 nodes fall into 7 classes
+    assert run(capsys, ["analyze", *SAMPLE]) == (1, "", "error: the graph has 7 twin classes, more than the limit of 4\n")
+
+
+def test_complete_quotients_over_the_edge_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):
+    def never(self):
+        raise AssertionError("the quotient was built")
+
+    monkeypatch.setattr(QuotientGraph, "__post_init__", never)
+    argv = ["generate", "--family", "extended-star", "-r", "4473", "-n", "1", "--out", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: a complete quotient on r=4473 has 10001628 edges, more than the limit of 10000000\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_extended_star_checks_the_size_before_the_quotient_diameter(capsys, tmp_path, monkeypatch):
+    def never(g):
+        raise AssertionError("the quotient diameter was measured")
+
+    monkeypatch.setattr(metrics, "integration_level", never)
+    argv = ["generate", "--family", "extended-star", "-r", "50", "-n", "1000", "--quotient", "star", "--out", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: r=50, n=1000 needs 24975049 edges, more than the limit of 10000000\n"
+
+
+def test_generate_dot_writes_the_joined_blocks(capsys, tmp_path):
+    out = tmp_path / "out"
+    argv = ["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "path", "--out", str(out), "--dot"]
+    assert run(capsys, argv)[0] == 0
+    g = fileio.load_graph(out / "edges.txt", out / "communities.txt")
+    assert (out / "graph.dot").read_bytes() == fileio.to_dot(g).encode()
 
 
 def test_thresholds_model_violation_exits_1(capsys):

@@ -41,6 +41,10 @@ def test_quotient_diameters():
     assert cycle_quotient(6).diameter == 3
     assert complete_quotient(1).diameter == 0
     assert QuotientGraph(2, ()).diameter is None
+    # twin-heavy quotients collapse to few classes: r = 2 with its edge to one, K4 minus an edge to three
+    assert QuotientGraph(2, ((0, 1),)).diameter == 1
+    assert QuotientGraph(4, tuple(e for e in complete_quotient(4).edges if e != (0, 1))).diameter == 2
+    assert QuotientGraph(3, ((0, 1),)).diameter is None
 
 
 def test_cycle_needs_three_communities():

@@ -90,6 +90,12 @@ def test_dot_marks_bridges_and_clusters(sample_graph):
     assert dot == _dot_reference(sample_graph, name="sample")
 
 
+def test_write_text_atomic_writes_each_chunk_in_order(tmp_path):
+    path = tmp_path / "out.txt"
+    fileio.write_text_atomic(path, (chunk for chunk in ["a\n", "", "b c\n"]))
+    assert path.read_bytes() == b"a\nb c\n"
+
+
 def test_dot_quotes_awkward_tokens():
     g = build_graph([('he"llo', "wo rld"), ("wo rld", "a\\b")], {'he"llo': "c", "wo rld": "c", "a\\b": "d"})
     dot = to_dot(g)

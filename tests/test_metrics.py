@@ -4,6 +4,7 @@ import pytest
 
 from kintegration import (
     InvalidNodeError,
+    KIntegrationError,
     InvalidParamsError,
     bounded_bfs,
     build_graph,
@@ -13,9 +14,11 @@ from kintegration import (
     extended_star,
     integration_level,
     is_k_integrated,
+    path_quotient,
     star_quotient,
     two_star,
 )
+from kintegration import metrics
 from kintegration.metrics import _TwinQuotient
 
 import naive
@@ -184,3 +187,23 @@ def test_twin_reduction_keeps_large_stars_cheap():
     assert not report.per_k[0].integrated
     assert report.per_k[0].witness == (1, 301)
     assert report.per_k[1].integrated
+
+
+def test_every_kernel_entry_refuses_more_classes_than_the_limit(monkeypatch):
+    # a 4-node path has 4 twin classes; under a limit of 3 each entry refuses it before any round
+    def never(adjacency):
+        raise AssertionError("the distance kernel ran")
+
+    monkeypatch.setattr(metrics, "MAX_CLASSES", 3)
+    monkeypatch.setattr(metrics, "_ball_levels", never)
+    g = islands(4, 1, [(0, 1), (1, 2), (2, 3)])
+    message = "the graph has 4 twin classes, more than the limit of 3"
+    for entry in (integration_level, lambda g: is_k_integrated(g, 2), lambda g: build_report(g, [1])):
+        with pytest.raises(KIntegrationError, match=message):
+            entry(g)
+    with pytest.raises(KIntegrationError, match=message):
+        path_quotient(4).diameter
+    # twins collapse first: 600 nodes in four classes pass a limit of 4
+    monkeypatch.undo()
+    monkeypatch.setattr(metrics, "MAX_CLASSES", 4)
+    assert integration_level(islands(2, 300, [(0, 300)])) == 3

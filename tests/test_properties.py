@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kintegration import (
     Bound,
+    QuotientGraph,
     bounded_bfs,
     bridge_threshold,
     build_graph,
@@ -105,6 +106,28 @@ def test_distances_match_reference(seed, connected):
             expected = {v: d for v, d in enumerate(row) if d is not None and d <= k}
             assert bounded_bfs(g, source, k) == expected
     assert integration_level(g) == naive.diameter(g.node_count, id_edges(g))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_quotient_diameter_matches_reference(data):
+    r = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(r) for v in range(u + 1, r)]
+    # random quotients, often disconnected; a path plus random chords, always connected;
+    # and twin-heavy ones that collapse to few classes
+    kind = data.draw(st.sampled_from(["random", "path-plus", "complete", "complete-minus-one"]))
+    extra = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    if kind == "random":
+        edges = extra
+    elif kind == "path-plus":
+        edges = sorted({(c, c + 1) for c in range(r - 1)} | set(extra))
+    elif kind == "complete" or not pairs:
+        edges = pairs
+    else:
+        missing = data.draw(st.sampled_from(pairs))
+        edges = [pair for pair in pairs if pair != missing]
+    q = QuotientGraph(r, tuple(edges))
+    assert q.diameter == naive.diameter(r, edges)
 
 
 _SIZE_POOL = [
