@@ -92,7 +92,7 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
 
 def _data_quality(g: graphmod.CommunityGraph) -> dict:
     isolated = [g.tokens[u] for u in range(g.node_count) if g.degree(u) == 0]
-    missing_count = sum(s * (s - 1) // 2 for s in g.community_sizes) - g.census.local_edge_count
+    missing_count = graphmod.missing_local_pair_count(g)
     # the pair scan only runs to name witnesses when the census says some are missing
     missing = graphmod.is_locally_complete(g, max_witnesses=10)[1] if missing_count else []
     notes = []

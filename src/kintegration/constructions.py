@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedCommunityCountError,
     require_int,
 )
-from .graph import CommunityGraph, Edge, build_graph
+from .graph import MAX_EDGES, CommunityGraph, Edge, build_graph
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,6 @@ class Construction:
     claimed_k: int
     claimed_b: int
     claimed_c: int
-
-
-# generate holds the network whole, up to ~80 B an edge (complete join): ~0.8 GB at the limit
-MAX_EDGES = 10_000_000
 
 
 def _check_size(r: int, n: int, bridge_count: int) -> None:

@@ -20,12 +20,13 @@ first self-loop or unknown node are held until the pass ends, so the
 errors and line numbers are those of ``parse_edge_list``,
 ``parse_community_map`` and ``build_graph`` run one after another.
 
-``format_edge_list`` writes each node's edges to its higher neighbours
-as one joined block when the tokens already sort in id order (as in
-every generated construction), and sorts token pairs otherwise.
-``dot_blocks`` yields the DOT text one cluster or node's edges at a
-time, each pair in token order, and ``to_dot`` joins the blocks;
-neither writer builds the graph's edge tuple.
+Every writer yields its text by blocks, and ``write_graph`` and
+``generate --dot`` pass them straight to ``write_text_atomic``.
+``format_edge_list`` yields each node's edges to its higher neighbours
+when the tokens sort in id order (as in every construction), and one
+line per sorted token pair otherwise; ``format_community_map`` one line
+per node; ``dot_blocks`` one cluster or node's edges, each pair in token
+order, which ``to_dot`` joins. No writer builds the graph's edge tuple.
 """
 
 from __future__ import annotations
@@ -129,33 +130,31 @@ def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLik
 
 
 def _token_edges(g: CommunityGraph) -> list[tuple[str, str]]:
+    tokens = g.tokens
     out = []
-    for u, v in g.edges:
-        tu, tv = g.tokens[u], g.tokens[v]
-        out.append((tu, tv) if tu <= tv else (tv, tu))
+    for u, nbs in enumerate(g.adjacency):
+        tu = tokens[u]
+        out.extend((tu, tv) if tu < tv else (tv, tu) for tv in pick(tokens, nbs[bisect.bisect_right(nbs, u) :]))
     return sorted(out)
 
 
-def format_edge_list(g: CommunityGraph) -> str:
+def format_edge_list(g: CommunityGraph) -> Iterator[str]:
     tokens = g.tokens
     if not all(map(operator.lt, tokens, tokens[1:])):
-        return "".join(f"{a} {b}\n" for a, b in _token_edges(g))
+        yield from (f"{a} {b}\n" for a, b in _token_edges(g))
+        return
     # token order is id order, so the sorted token pairs are each node's
     # higher neighbours in id order, node by node
-    blocks = []
     for u, nbs in enumerate(g.adjacency):
         higher = nbs[bisect.bisect_right(nbs, u) :]
         if higher:
             head = tokens[u] + " "
-            blocks.append(head + ("\n" + head).join(pick(tokens, higher)) + "\n")
-    return "".join(blocks)
+            yield head + ("\n" + head).join(pick(tokens, higher)) + "\n"
 
 
-def format_community_map(g: CommunityGraph) -> str:
-    lines = sorted(
-        (g.tokens[u], g.community_tokens[g.community_of[u]]) for u in range(g.node_count)
-    )
-    return "".join(f"{node} {community}\n" for node, community in lines)
+def format_community_map(g: CommunityGraph) -> Iterator[str]:
+    lines = sorted(zip(g.tokens, pick(g.community_tokens, g.community_of)))
+    return (f"{node} {community}\n" for node, community in lines)
 
 
 def write_text_atomic(path: str | os.PathLike, chunks: Iterable[str]) -> None:
@@ -193,8 +192,8 @@ def write_graph(
         for token in tokens:
             if token.split() != [token] or (kind == "node" and token.startswith("#")):
                 raise KIntegrationError(f"{kind} name {token!r} cannot be written to a graph file")
-    write_text_atomic(edges_path, [format_edge_list(g)])
-    write_text_atomic(communities_path, [format_community_map(g)])
+    write_text_atomic(edges_path, format_edge_list(g))
+    write_text_atomic(communities_path, format_community_map(g))
 
 
 def _dot_quote(token: str) -> str:

@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyCommunityMapError, SelfLoopError, UnknownNodeError
+from .errors import EmptyCommunityMapError, KIntegrationError, SelfLoopError, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
 Edge = tuple[int, int]
+
+# the one cap on a graph built beyond the input: a generated one takes up to ~65 B an edge, ~0.65 GB at the cap
+MAX_EDGES = 10_000_000
 
 
 class EdgeCensus(NamedTuple):
@@ -195,6 +198,11 @@ def central_nodes(g: CommunityGraph) -> set[int]:
     return {x for edge in bridges(g) for x in edge}
 
 
+def missing_local_pair_count(g: CommunityGraph) -> int:
+    """The same-community node pairs that are not edges, in closed form from the census."""
+    return sum(s * (s - 1) // 2 for s in g.community_sizes) - g.census.local_edge_count
+
+
 def is_locally_complete(
     g: CommunityGraph, max_witnesses: int = 10
 ) -> tuple[bool, list[Edge]]:
@@ -216,19 +224,14 @@ def is_locally_complete(
 
 
 def localize_complete(g: CommunityGraph) -> CommunityGraph:
-    """Copy of ``g`` with every missing local edge added.
+    """Copy of ``g`` with every missing local edge added: each node's neighbours united with its community.
 
-    Bridges and central nodes are unchanged; idempotent.
+    Bridges and central nodes are unchanged; idempotent. Adding more than
+    MAX_EDGES edges is refused before anything is built.
     """
-    neighbor_sets = [set(nb) for nb in g.adjacency]
-    for members in g.community_members:
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                neighbor_sets[u].add(v)
-                neighbor_sets[v].add(u)
-    return CommunityGraph(
-        adjacency=tuple(tuple(sorted(nb)) for nb in neighbor_sets),
-        community_of=g.community_of,
-        tokens=g.tokens,
-        community_tokens=g.community_tokens,
-    )
+    added = missing_local_pair_count(g)
+    if added > MAX_EDGES:
+        raise KIntegrationError(f"localizing adds {added} edges, more than the limit of {MAX_EDGES}")
+    members, community_of = g.community_members, g.community_of
+    united = (set(nb).union(members[community_of[u]]).difference((u,)) for u, nb in enumerate(g.adjacency))
+    return replace(g, adjacency=tuple(tuple(sorted(nb)) for nb in united))

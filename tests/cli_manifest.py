@@ -105,16 +105,21 @@ def _sha(data: bytes) -> str:
 def run_request(inputs: dict[str, str], argv: list[str]) -> dict:
     """The exit code and the digests of stdout, stderr and each written file of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, text in inputs.items():
-            Path(name).write_text(text, encoding="utf-8")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        written = {
-            path.as_posix(): _sha(path.read_bytes())
-            for path in sorted(Path().rglob("*"))
-            if path.is_file() and path.as_posix() not in inputs
-        }
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in inputs.items():
+                Path(name).write_text(text, encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            written = {
+                path.as_posix(): _sha(path.read_bytes())
+                for path in sorted(Path().rglob("*"))
+                if path.is_file() and path.as_posix() not in inputs
+            }
+        finally:
+            os.chdir(home)
     return {
         "exit": code,
         "stdout": _sha(out.getvalue().encode()),

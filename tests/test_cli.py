@@ -350,6 +350,40 @@ def test_generate_failed_write_leaves_no_certificate(capsys, tmp_path, monkeypat
     assert sorted(p.name for p in out_dir.iterdir()) == ["communities.txt", "edges.txt"]
 
 
+def test_generate_stream_failing_partway_leaves_the_old_files(capsys, tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert run(capsys, ["generate", "--family", "two-star", "-r", "3", "-n", "3", "--out", str(out_dir)])[0] == 0
+    old_edges = (out_dir / "edges.txt").read_bytes()
+
+    def failing_format(g):
+        yield "0 1\n"
+        raise OSError("disk full")
+
+    # the temp file already holds a block when the formatter fails
+    monkeypatch.setattr(fileio, "format_edge_list", failing_format)
+    code, out, err = run(capsys, ["generate", "--family", "two-star", "-r", "4", "-n", "4", "--out", str(out_dir)])
+    assert (code, out, err) == (1, "", "error: disk full\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["communities.txt", "edges.txt"]
+    assert (out_dir / "edges.txt").read_bytes() == old_edges
+
+
+def test_analyze_localize_refuses_to_add_more_than_the_edge_limit(capsys, tmp_path, monkeypatch):
+    def never(self):
+        raise AssertionError("localized an oversized graph")
+
+    # a1..a3 miss two local pairs; the sample is locally complete with 18 local edges
+    (tmp_path / "e.txt").write_text("a1 a3\na1 b1\nb1 b2\n")
+    (tmp_path / "c.txt").write_text("a1 A\na2 A\na3 A\nb1 B\nb2 B\n")
+    monkeypatch.setattr(graph, "MAX_EDGES", 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(graph.CommunityGraph, "community_members", property(never))
+        argv = ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt"), "--localize"]
+        assert run(capsys, argv) == (1, "", "error: localizing adds 2 edges, more than the limit of 1\n")
+    code, out, _ = run(capsys, ["analyze", *SAMPLE, "--localize"])
+    assert code == 0
+    assert out == run(capsys, ["analyze", *SAMPLE])[1]
+
+
 def test_analyze_generate_and_exhaustive_certify_list_no_bridges(capsys, tmp_path, monkeypatch):
     def never(g):
         raise AssertionError("listed the bridges of a graph")

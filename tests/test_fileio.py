@@ -56,8 +56,8 @@ def test_load_graph_sample(sample_graph):
 
 def test_canonical_formats_are_sorted():
     g = build_graph([("z", "a"), ("m", "a")], {"z": "2", "a": "1", "m": "2"})
-    assert format_edge_list(g) == "a m\na z\n"
-    assert format_community_map(g) == "a 1\nm 2\nz 2\n"
+    assert "".join(format_edge_list(g)) == "a m\na z\n"
+    assert "".join(format_community_map(g)) == "a 1\nm 2\nz 2\n"
 
 
 def test_write_then_load_round_trips(tmp_path, sample_graph):
@@ -94,6 +94,33 @@ def test_write_text_atomic_writes_each_chunk_in_order(tmp_path):
     path = tmp_path / "out.txt"
     fileio.write_text_atomic(path, (chunk for chunk in ["a\n", "", "b c\n"]))
     assert path.read_bytes() == b"a\nb c\n"
+
+
+def test_write_text_atomic_keeps_the_old_file_when_a_stream_fails_partway(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old text\n")
+
+    def failing_stream():
+        yield "new block\n"
+        raise OSError("formatter failed")
+
+    with pytest.raises(OSError, match="formatter failed"):
+        fileio.write_text_atomic(path, failing_stream())
+    assert path.read_bytes() == b"old text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_graph_builds_no_edge_tuple(tmp_path, monkeypatch):
+    def never(g):
+        raise AssertionError("built the edge tuple of a graph")
+
+    # int keys 0..11 give tokens "0", "1", "10", "11", "2", ...: not in id order, so token pairs are sorted
+    g = build_graph([(u, (u + 1) % 12) for u in range(12)] + [(2, 10), (0, 7)], {u: u % 3 for u in range(12)})
+    assert g.tokens != tuple(sorted(g.tokens))
+    expected = _token_pair_reference(g)
+    monkeypatch.setattr(graph.CommunityGraph, "edges", property(never))
+    write_graph(g, tmp_path / "e.txt", tmp_path / "c.txt")
+    assert (tmp_path / "e.txt").read_text() == expected
 
 
 def test_dot_quotes_awkward_tokens():
@@ -158,8 +185,8 @@ def test_format_edge_list_same_on_sorted_and_unsorted_tokens():
     )
     assert by_str.tokens == tuple(sorted(by_str.tokens))
     expected = "10 2\n10 3\n10 9\n100 3\n100 9\n2 9\n"
-    assert format_edge_list(by_int) == expected
-    assert format_edge_list(by_str) == expected
+    assert "".join(format_edge_list(by_int)) == expected
+    assert "".join(format_edge_list(by_str)) == expected
     assert _token_pair_reference(by_int) == _token_pair_reference(by_str) == expected
 
 
@@ -175,7 +202,7 @@ def test_format_edge_list_matches_token_pair_definition(data):
         g = build_graph(
             [(key(a), key(b)) for a, b in edges], {key(k): k % 3 for k in keys}
         )
-        assert format_edge_list(g) == _token_pair_reference(g)
+        assert "".join(format_edge_list(g)) == _token_pair_reference(g)
         # to_dot walks the same node blocks; int keys put "10" before "9", so each pair must be reordered
         assert to_dot(g, name='n"et') == _dot_reference(g, name='n"et')
 

@@ -1,4 +1,6 @@
 """Randomized invariant checks spanning parser, metrics, thresholds and oracle."""
+import dataclasses
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from kintegration import (
     eccentricity,
     integration_level,
     is_k_integrated,
+    localize_complete,
     min_bridges_for_sizes,
     pair_bridge_minimum,
     parse_community_map,
@@ -83,14 +86,14 @@ def test_format_parse_round_trip(data):
 
     g = build_graph(edges, communities)
     g2 = build_graph(
-        parse_edge_list(format_edge_list(g)),
-        parse_community_map(format_community_map(g)),
+        parse_edge_list("".join(format_edge_list(g))),
+        parse_community_map("".join(format_community_map(g))),
     )
     assert g2.tokens == g.tokens
     assert g2.community_tokens == g.community_tokens
     assert id_edges(g2) == id_edges(g)
-    assert format_edge_list(g2) == format_edge_list(g)
-    assert format_community_map(g2) == format_community_map(g)
+    assert "".join(format_edge_list(g2)) == "".join(format_edge_list(g))
+    assert "".join(format_community_map(g2)) == "".join(format_community_map(g))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
@@ -106,6 +109,24 @@ def test_distances_match_reference(seed, connected):
             expected = {v: d for v, d in enumerate(row) if d is not None and d <= k}
             assert bounded_bfs(g, source, k) == expected
     assert integration_level(g) == naive.diameter(g.node_count, id_edges(g))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_localize_complete_matches_definition(seed, connected):
+    # random labels give lopsided communities, often of a single node, and connected=False leaves pieces apart
+    g = random_community_graph(random.Random(seed), max_nodes=12, connected=connected)
+    expected = set(g.edges) | {pair for members in g.community_members for pair in itertools.combinations(members, 2)}
+    neighbours = [set() for _ in range(g.node_count)]
+    for u, v in expected:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    fixed = localize_complete(g)
+    # same tokens and communities; exactly g's edges plus every same-community pair
+    assert fixed == dataclasses.replace(g, adjacency=tuple(tuple(sorted(nb)) for nb in neighbours))
+    assert fixed.census.bridge_count == g.census.bridge_count
+    assert fixed.census.central_count == g.census.central_count
+    assert localize_complete(fixed) == fixed
 
 
 @given(st.data())
