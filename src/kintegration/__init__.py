@@ -66,6 +66,7 @@ from .thresholds import (
     central_threshold,
     pair_bridge_minimum,
     segregation_verdict,
+    threshold_row,
     threshold_rows,
 )
 
@@ -121,6 +122,7 @@ __all__ = [
     "path_quotient",
     "segregation_verdict",
     "star_quotient",
+    "threshold_row",
     "threshold_rows",
     "to_dot",
     "two_star",

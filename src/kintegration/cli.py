@@ -73,13 +73,13 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
     r, n = shape
     rows = []
     for k in ks:
-        bound = thresholds.bridge_threshold(r, n, k)
+        row = thresholds.threshold_row(r, n, k)
         verdict = thresholds.segregation_verdict(g, k)
         rows.append(
             {
                 "k": k,
-                "bridges_required": _bound_row(bound),
-                "centrals_required": thresholds.central_threshold(r, n, k),
+                "bridges_required": _bound_row(row.bridges),
+                "centrals_required": row.centrals,
                 "provably_segregated": verdict.provably_segregated,
                 "reason": verdict.reason,
             }
@@ -235,9 +235,8 @@ def cmd_certify(
     rows = []
     for k in ks:
         # the table refuses a request it does not cover before any search runs
-        bound = thresholds.bridge_threshold(r, n, k)
-        centrals_required = thresholds.central_threshold(r, n, k)
-        row = {"k": k, "bound": _bound_row(bound), "centrals_required": centrals_required}
+        table = thresholds.threshold_row(r, n, k)
+        row = {"k": k, "bound": _bound_row(table.bridges), "centrals_required": table.centrals}
         if mode == "exhaustive":
             rc = oracle.check_threshold_row(r, n, k, budget=budget)
             witness, agrees = rc.verdict.witness, rc.agrees
@@ -250,7 +249,7 @@ def cmd_certify(
             )
         else:
             witness = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
-            agrees = oracle.fits_row(bound, centrals_required, witness, exact=False)
+            agrees = oracle.fits_row(table, witness, exact=False)
             row["upper_bound"] = len(witness)
         row["witness"] = None if witness is None else [list(e) for e in witness]
         row["agrees"] = agrees
@@ -545,10 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except KIntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KIntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

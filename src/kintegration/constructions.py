@@ -76,19 +76,26 @@ def complete_quotient(r: int) -> QuotientGraph:
     return QuotientGraph(r, tuple(itertools.combinations(range(r), 2)))
 
 
+# A star, path or cycle on r >= 4 vertices has r twin classes, so above
+# MAX_CLASSES its diameter is refused; these refuse it before it is built.
+
+
 def star_quotient(r: int) -> QuotientGraph:
     """Community 0 as the quotient hub."""
     require_int("r", r, 1)
+    metrics.check_class_count(r)
     return QuotientGraph(r, tuple((0, c) for c in range(1, r)))
 
 
 def path_quotient(r: int) -> QuotientGraph:
     require_int("r", r, 1)
+    metrics.check_class_count(r)
     return QuotientGraph(r, tuple((c, c + 1) for c in range(r - 1)))
 
 
 def cycle_quotient(r: int) -> QuotientGraph:
     require_int("r", r, 3)
+    metrics.check_class_count(r)
     return QuotientGraph(r, tuple((c, c + 1) for c in range(r - 1)) + ((0, r - 1),))
 
 

@@ -120,6 +120,12 @@ def _ball_levels(adjacency: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         balls = grown
 
 
+def check_class_count(classes: int) -> None:
+    """Refuse a graph of more than MAX_CLASSES twin classes, before the kernel allocates."""
+    if classes > MAX_CLASSES:
+        raise KIntegrationError(f"the graph has {classes} twin classes, more than the limit of {MAX_CLASSES}")
+
+
 class _TwinQuotient:
     """Nodes grouped by closed neighborhood, plus the class-level graph.
 
@@ -136,9 +142,9 @@ class _TwinQuotient:
         for u, nbs in enumerate(g.adjacency):
             i = bisect_left(nbs, u)
             groups.setdefault(nbs[:i] + (u,) + nbs[i:], []).append(u)
-        if len(groups) > MAX_CLASSES:
-            raise KIntegrationError(f"the graph has {len(groups)} twin classes, more than the limit of {MAX_CLASSES}")
-        classes = sorted(groups.values(), key=lambda members: members[0])
+        check_class_count(len(groups))
+        # each group was created at its smallest member, so the dict holds them in that order
+        classes = list(groups.values())
         class_of = [0] * g.node_count
         for ci, members in enumerate(classes):
             for u in members:

@@ -65,7 +65,7 @@ from operator import and_, or_
 from .constructions import complete_quotient, extended_star, star_quotient, two_star
 from .errors import InvalidParamsError, require_int
 from .graph import Edge
-from .thresholds import Bound, bridge_threshold, central_threshold
+from .thresholds import ThresholdRow, threshold_row
 
 DEFAULT_BUDGET = 2_000_000
 # the cross pairs sit in one tuple, ~100 B a pair
@@ -220,22 +220,32 @@ class _Instance:
         return near, short
 
 
-def _instance(sizes: tuple[int, ...]) -> _Instance:
-    """The search instance for validated sizes, refused in closed form above MAX_CROSS_PAIRS.
+def _check_size(communities: int, nodes: int, pairs: int) -> None:
+    """Refuse a search over more than MAX_CROSS_PAIRS cross pairs, from its counts alone.
 
     One check's balls hold nodes² bits, so nodes² is capped at 4 × that
     limit too; r >= 2 equal sizes have nodes² <= 4 × their cross pairs.
     """
-    nodes = sum(sizes)
-    pairs = (nodes * nodes - sum(s * s for s in sizes)) // 2
     if pairs > MAX_CROSS_PAIRS:
         raise InvalidParamsError(
-            f"{len(sizes)} communities of {nodes} nodes give {pairs} cross pairs, more than the limit of {MAX_CROSS_PAIRS}"
+            f"{communities} communities of {nodes} nodes give {pairs} cross pairs, more than the limit of {MAX_CROSS_PAIRS}"
         )
     if nodes * nodes > 4 * MAX_CROSS_PAIRS:
         raise InvalidParamsError(
-            f"{len(sizes)} communities of {nodes} nodes need {nodes * nodes} mask bits, more than the limit of {4 * MAX_CROSS_PAIRS}"
+            f"{communities} communities of {nodes} nodes need {nodes * nodes} mask bits, more than the limit of {4 * MAX_CROSS_PAIRS}"
         )
+
+
+def _check_equal_size(r: int, n: int) -> None:
+    """``_check_size`` for r communities of n nodes, before the r sizes are built."""
+    if r > 1:
+        _check_size(r, r * n, n * n * r * (r - 1) // 2)
+
+
+def _instance(sizes: tuple[int, ...]) -> _Instance:
+    """The search instance for validated sizes, refused by ``_check_size`` first."""
+    nodes = sum(sizes)
+    _check_size(len(sizes), nodes, (nodes * nodes - sum(s * s for s in sizes)) // 2)
     return _Instance(sizes)
 
 
@@ -368,6 +378,10 @@ def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET)
     """Exact minimum bridge count for r communities of n nodes each."""
     require_int("r", r, 1)
     require_int("n", n, 1)
+    # every parameter before the size, in the order min_bridges_for_sizes checks them
+    require_int("k", k, 1)
+    require_int("budget", budget, 1)
+    _check_equal_size(r, n)
     return min_bridges_for_sizes((n,) * r, k, budget=budget)
 
 
@@ -383,6 +397,7 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     require_int("n", n, 1)
     require_int("k", k, 1)
     require_int("trials", trials, 1)
+    _check_equal_size(r, n)
     if r == 1 or k == 1:
         # the exact search settles both at once: no bridges, or every cross pair
         return min_bridges_exhaustive(r, n, k).witness
@@ -440,15 +455,15 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     return best
 
 
-def fits_row(bound: Bound, centrals_required: int, witness, exact: bool) -> bool:
+def fits_row(row: ThresholdRow, witness, exact: bool) -> bool:
     """Whether the feasible bridge set ``witness`` agrees with a threshold row.
 
-    The row's counts are necessary: fewer than ``bound.lower`` bridges or
-    ``centrals_required`` distinct ends disprove it.  Only a certified
-    minimum (``exact``) must also stay within ``bound.upper``.
+    The row's counts are necessary: fewer than ``row.bridges.lower``
+    bridges or ``row.centrals`` distinct ends disprove it.  Only a
+    certified minimum (``exact``) must also stay within ``row.bridges.upper``.
     """
     centrals = len({node for edge in witness for node in edge})
-    return bound.lower <= len(witness) and (not exact or len(witness) <= bound.upper) and centrals >= centrals_required
+    return row.bridges.lower <= len(witness) and (not exact or len(witness) <= row.bridges.upper) and centrals >= row.centrals
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:
@@ -458,8 +473,7 @@ def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) ->
     ``fits_row`` of the minimum's witness.  A False here means a verified
     counterexample.
     """
-    bound = bridge_threshold(r, n, k)
-    centrals_required = central_threshold(r, n, k)
+    row = threshold_row(r, n, k)
     verdict = min_bridges_exhaustive(r, n, k, budget=budget)
-    agrees = fits_row(bound, centrals_required, verdict.witness, exact=True) if verdict.certified else None
+    agrees = fits_row(row, verdict.witness, exact=True) if verdict.certified else None
     return RowCheck(verdict, agrees)

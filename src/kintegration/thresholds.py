@@ -11,6 +11,11 @@ and for k >= r+1:
     3 < k < r+1:  B in [r-1, r(r-1)/2] (exact value open)   C = r
     k >= r+1:   B = r-1               C = r
 
+A single community (r = 1) is one clique and needs neither. The table
+is written once, in ``threshold_row``: one branch per case, each giving
+the whole row, with the three k >= 3 cases as the ends of one Bound.
+Every other function and caller reads whole rows from it.
+
 These are necessary conditions: a network below either count is
 provably k-segregated, but meeting both proves nothing, so integration
 still has to be confirmed by measurement. Counts grow quadratically
@@ -49,52 +54,42 @@ class SegregationVerdict:
     reason: str | None = None
 
 
-def _validate(r: int, n: int, k: int) -> None:
-    require_int("r", r, 1)
-    require_int("n", n, 1)
-    require_int("k", k, 1)
-    if n < r:
-        raise ModelViolationError(f"the model requires n >= r, got n={n} < r={r}")
-
-
-def bridge_threshold(r: int, n: int, k: int) -> Bound:
-    """Minimum bridge count B_k, exact or as an interval for 3 < k < r+1."""
-    _validate(r, n, k)
-    if r == 1:
-        return Bound(0, 0)
-    if k == 1:
-        b = n * n * r * (r - 1) // 2
-        return Bound(b, b)
-    if k == 2:
-        b = (r - 1) * n
-        return Bound(b, b)
-    if k == 3:
-        b = r * (r - 1) // 2
-        return Bound(b, b)
-    if k >= r + 1:
-        return Bound(r - 1, r - 1)
-    # 3 < k < r+1: only the bracket is known; the lower end comes from
-    # connectivity (and the k >= r+1 row), the upper end from the k=3 row
-    return Bound(r - 1, r * (r - 1) // 2)
-
-
-def central_threshold(r: int, n: int, k: int) -> int:
-    """Minimum central-node count C_k (always exact)."""
-    _validate(r, n, k)
-    if r == 1:
-        return 0
-    if k == 1:
-        return r * n
-    if k == 2:
-        return (r - 1) * n + 1
-    return r
-
-
 @dataclass(frozen=True)
 class ThresholdRow:
     k: int
     bridges: Bound
     centrals: int
+
+
+def threshold_row(r: int, n: int, k: int) -> ThresholdRow:
+    """The table's row for level k: B_k as a Bound (an interval for 3 < k < r+1) and C_k."""
+    require_int("r", r, 1)
+    require_int("n", n, 1)
+    require_int("k", k, 1)
+    if n < r:
+        raise ModelViolationError(f"the model requires n >= r, got n={n} < r={r}")
+    if r == 1:
+        return ThresholdRow(k, Bound(0, 0), 0)
+    if k == 1:
+        b = n * n * r * (r - 1) // 2
+        return ThresholdRow(k, Bound(b, b), r * n)
+    if k == 2:
+        b = (r - 1) * n
+        return ThresholdRow(k, Bound(b, b), b + 1)
+    # k >= 3: B_k lies in [r-1, r(r-1)/2] (connectivity, and the k = 3 row);
+    # k = 3 is exact at the upper end, k >= r+1 at the lower one
+    full, floor = r * (r - 1) // 2, r - 1
+    return ThresholdRow(k, Bound(full if k == 3 else floor, floor if k > r else full), r)
+
+
+def bridge_threshold(r: int, n: int, k: int) -> Bound:
+    """Minimum bridge count B_k, exact or as an interval for 3 < k < r+1."""
+    return threshold_row(r, n, k).bridges
+
+
+def central_threshold(r: int, n: int, k: int) -> int:
+    """Minimum central-node count C_k (always exact)."""
+    return threshold_row(r, n, k).centrals
 
 
 # every row from k = r+1 on repeats the last one, so a longer table adds nothing
@@ -104,7 +99,7 @@ MAX_KMAX = 10_000
 def threshold_rows(r: int, n: int, kmax: int) -> list[ThresholdRow]:
     """The table of (B_k, C_k) for k = 1..kmax, with kmax at most MAX_KMAX."""
     require_int("kmax", kmax, 1, maximum=MAX_KMAX)
-    return [ThresholdRow(k, bridge_threshold(r, n, k), central_threshold(r, n, k)) for k in range(1, kmax + 1)]
+    return [threshold_row(r, n, k) for k in range(1, kmax + 1)]
 
 
 def pair_bridge_minimum(n1: int, n2: int) -> int:
@@ -133,17 +128,15 @@ def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
     NotDetermined otherwise (the conditions are necessary, never
     sufficient, so a NotDetermined graph still needs measuring).
     """
-    r, n = model_shape(g)
-    b_bound = bridge_threshold(r, n, k)
-    c_required = central_threshold(r, n, k)
+    row = threshold_row(*model_shape(g), k)
     b = g.census.bridge_count
     c = g.census.central_count
-    if b < b_bound.lower:
+    if b < row.bridges.lower:
         return SegregationVerdict(
-            True, f"bridge count {b} is below the k={k} requirement {b_bound.lower}"
+            True, f"bridge count {b} is below the k={k} requirement {row.bridges.lower}"
         )
-    if c < c_required:
+    if c < row.centrals:
         return SegregationVerdict(
-            True, f"central-node count {c} is below the k={k} requirement {c_required}"
+            True, f"central-node count {c} is below the k={k} requirement {row.centrals}"
         )
     return SegregationVerdict(False)

@@ -1,4 +1,4 @@
-"""Digests of what ``generate`` and ``analyze`` print and write, for a fixed corpus of requests.
+"""Digests of what every subcommand prints and writes, for a fixed corpus of requests.
 
 Each request runs in-process through ``cli.main`` in a fresh temporary
 directory, with relative paths so no digest depends on where it ran. Its
@@ -51,6 +51,22 @@ def _random_input(seed: int = 7) -> dict[str, str]:
     }
 
 
+# one complete community of four nodes: every level is integrated and the table is the r = 1 row
+ONE_COMMUNITY = {
+    "edges.txt": "a b\na c\na d\nb c\nb d\nc d\n",
+    "communities.txt": "a A\nb A\nc A\nd A\n",
+}
+
+# two complete communities of three nodes and no bridge: k* is none
+DISCONNECTED = {
+    "edges.txt": "a1 a2\na1 a3\na2 a3\nb1 b2\nb1 b3\nb2 b3\n",
+    "communities.txt": "a1 A\na2 A\na3 A\nb1 B\nb2 B\nb3 B\n",
+}
+
+FORMATS = ("json", "csv", "text")
+ANALYZE_FILES = ["--edges", "edges.txt", "--communities", "communities.txt"]
+
+
 def _generate_requests() -> list[list[str]]:
     sized = [
         (["--family", "complete-join"], [(1, 1), (1, 3), (3, 2), (4, 3)]),
@@ -80,20 +96,46 @@ def _generate_requests() -> list[list[str]]:
     return requests + [["generate", *spec, "--out", "out"] for spec in refused]
 
 
+def _certify_requests() -> list[list[str]]:
+    rows = [
+        ["-r", "2", "-n", "2", "--k", "1,2,3"],
+        ["-r", "3", "-n", "3", "--k", "1,2,3,4"],
+        ["-r", "4", "-n", "4", "--k", "4,5"],
+        ["-r", "3", "-n", "3", "--k", "2", "--budget", "4"],
+        ["-r", "3", "-n", "3", "--k", "2,3", "--mode", "randomized", "--seed", "1"],
+    ]
+    refused = [["-r", "3", "-n", "2"], ["-r", "2", "-n", "2", "--budget", "0"]]
+    return [["certify", *row, "--format", fmt] for row in rows for fmt in FORMATS] + [
+        ["certify", *row] for row in refused
+    ]
+
+
+def _thresholds_requests() -> list[list[str]]:
+    tables = [["-r", "8", "-n", "9"], ["-r", "1", "-n", "5"], ["-r", "4", "-n", "4", "--kmax", "6"]]
+    return [["thresholds", *table, "--format", fmt] for table in tables for fmt in FORMATS] + [
+        ["thresholds", "-r", "2", "-n", "2", "--kmax", "10001"]
+    ]
+
+
 def _analyze_requests() -> list[list[str]]:
-    files = ["--edges", "edges.txt", "--communities", "communities.txt"]
     return [
-        ["analyze", *files, "--format", fmt, *localize]
-        for fmt in ("json", "csv", "text")
+        ["analyze", *ANALYZE_FILES, "--format", fmt, *localize]
+        for fmt in FORMATS
         for localize in ([], ["--localize"])
-    ] + [["analyze", *files, "--localize", "--strict-model"]]
+    ] + [["analyze", *ANALYZE_FILES, "--localize", "--strict-model"]]
 
 
 def corpus() -> dict[str, tuple[dict[str, str], list[str]]]:
     """Each request's key, its input files and its argv."""
-    entries = {" ".join(argv): ({}, argv) for argv in _generate_requests()}
+    argvs = _generate_requests() + _certify_requests() + _thresholds_requests()
+    entries = {" ".join(argv): ({}, argv) for argv in argvs}
     for name, inputs in (("sample", SAMPLE), ("random", _random_input())):
         for argv in _analyze_requests():
+            entries[f"{name}: {' '.join(argv)}"] = (inputs, argv)
+    for name, inputs, ks in (("sample", SAMPLE, ["--k", "4,5"]), ("one-community", ONE_COMMUNITY, []),
+                             ("disconnected", DISCONNECTED, [])):
+        for fmt in FORMATS:
+            argv = ["analyze", *ANALYZE_FILES, *ks, "--format", fmt]
             entries[f"{name}: {' '.join(argv)}"] = (inputs, argv)
     return entries
 

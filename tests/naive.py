@@ -86,6 +86,25 @@ def violation_witness(node_count, edges, k):
     return None
 
 
+def threshold_table(r, n, k):
+    """(B_k lower end, B_k upper end, C_k) for r communities of n >= r nodes.
+
+    A case-by-case transcription of the table in the ``thresholds``
+    module docstring, one branch per line there, after its r = 1 rule.
+    """
+    if r == 1:
+        return 0, 0, 0
+    if k == 1:
+        return n * n * r * (r - 1) // 2, n * n * r * (r - 1) // 2, r * n
+    if k == 2:
+        return (r - 1) * n, (r - 1) * n, (r - 1) * n + 1
+    if k == 3:
+        return r * (r - 1) // 2, r * (r - 1) // 2, r
+    if k < r + 1:
+        return r - 1, r * (r - 1) // 2, r
+    return r - 1, r - 1, r
+
+
 def island_nodes(sizes):
     """Node ids grouped by community for disjoint complete communities."""
     groups = []

@@ -3,10 +3,11 @@ import logging
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from kintegration import Bound, OracleVerdict, QuotientGraph, RowCheck, cli, fileio, graph, metrics
+from kintegration import Bound, InvalidParamsError, OracleVerdict, QuotientGraph, RowCheck, cli, fileio, graph, metrics
 from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
 
@@ -270,7 +271,8 @@ def test_certify_randomized_agreement(capsys):
 
 def test_certify_randomized_disagreement_exits_3(capsys, monkeypatch):
     # pretend the table demands more bridges than a feasible witness uses
-    monkeypatch.setattr(cli.thresholds, "bridge_threshold", lambda r, n, k: Bound(99, 99))
+    row = cli.thresholds.threshold_row
+    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: replace(row(r, n, k), bridges=Bound(99, 99)))
     code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", "randomized"])
     assert code == 3
     assert json.loads(out)["result"] == "disagree"
@@ -278,7 +280,8 @@ def test_certify_randomized_disagreement_exits_3(capsys, monkeypatch):
 
 def test_certify_randomized_too_few_centrals_exits_3(capsys, monkeypatch):
     # a feasible witness with fewer centrals than the table demands disproves the central count
-    monkeypatch.setattr(cli.thresholds, "central_threshold", lambda r, n, k: 99)
+    row = cli.thresholds.threshold_row
+    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: replace(row(r, n, k), centrals=99))
     code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", "randomized"])
     assert code == 3
     payload = json.loads(out)
@@ -464,6 +467,38 @@ def test_oversized_requests_are_refused_before_building(capsys, tmp_path, monkey
         code, out, err = run(capsys, ["certify", "-r", "8", "-n", "1000", "--k", "2", "--mode", mode])
         assert (code, out) == (1, "")
         assert err == "error: 8 communities of 8000 nodes give 28000000 cross pairs, more than the limit of 100000\n"
+
+
+def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the community sizes were built")
+
+    message = "3 communities of 9 nodes give 27 cross pairs, more than the limit of 26"
+    monkeypatch.setattr(cli.oracle, "MAX_CROSS_PAIRS", 26)
+    # the closed form says what the check on the built sizes says
+    with pytest.raises(InvalidParamsError, match=re.escape(message)):
+        cli.oracle._instance((3, 3, 3))
+    monkeypatch.setattr(cli.oracle, "min_bridges_for_sizes", never)
+    monkeypatch.setattr(cli.oracle, "_instance", never)
+    for mode in ("exhaustive", "randomized"):
+        assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2", "--mode", mode]) == (1, "", f"error: {message}\n")
+        # r = 10**8 sizes would take ~800 MB; from r and n alone the refusal is immediate
+        code, out, err = run(capsys, ["certify", "-r", "100000000", "-n", "100000000", "--k", "1", "--mode", mode])
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: 100000000 communities of 10000000000000000 nodes give ")
+
+
+def test_star_path_and_cycle_quotients_over_the_class_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):
+    def never(self):
+        raise AssertionError("the quotient was built")
+
+    # a star, path or cycle on five vertices has five twin classes
+    monkeypatch.setattr(metrics, "MAX_CLASSES", 4)
+    monkeypatch.setattr(QuotientGraph, "__post_init__", never)
+    for quotient in ("star", "path", "cycle"):
+        argv = ["generate", "--family", "extended-star", "--quotient", quotient, "-r", "5", "-n", "1", "--out", str(tmp_path)]
+        assert run(capsys, argv) == (1, "", "error: the graph has 5 twin classes, more than the limit of 4\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_graphs_over_the_class_limit_are_refused_before_the_kernel(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
-"""``generate`` and ``analyze`` print and write exactly what the checked-in manifest pins."""
+"""Every subcommand prints and writes exactly what the checked-in manifest pins."""
 
+import argparse
 import json
 
 import pytest
 
 from cli_manifest import MANIFEST, corpus, run_request
+from kintegration import cli
 
 PINNED = json.loads(MANIFEST.read_text())
 CORPUS = corpus()
@@ -12,6 +14,20 @@ CORPUS = corpus()
 
 def test_manifest_covers_the_corpus():
     assert sorted(PINNED) == sorted(CORPUS)
+
+
+def test_corpus_covers_every_subcommand_and_format():
+    parser = cli.build_parser()
+    (subcommands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    declared = set()
+    for name, sub in subcommands.choices.items():
+        formats = [action.choices for action in sub._actions if action.dest == "format"]
+        declared |= {(name, fmt) for fmt in (formats[0] if formats else [None])}
+    requested = set()
+    for _, argv in CORPUS.values():
+        args = parser.parse_args(argv)
+        requested.add((args.command, getattr(args, "format", None)))
+    assert declared - requested == set()
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kintegration import (
     Bound,
     InvalidParamsError,
+    ThresholdRow,
     bridge_threshold,
     check_threshold_row,
     min_bridges_exhaustive,
@@ -394,7 +395,7 @@ SIX = ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))  # 6 bridges, 4 ends
 )
 def test_fits_row_boundaries(witness, exact, agrees):
     # the row needs 3 to 5 bridges and 4 centrals
-    assert oracle.fits_row(Bound(3, 5), 4, witness, exact) is agrees
+    assert oracle.fits_row(ThresholdRow(k=2, bridges=Bound(3, 5), centrals=4), witness, exact) is agrees
 
 
 def test_check_threshold_row_agreement():

@@ -4,6 +4,7 @@ from kintegration import (
     Bound,
     InvalidParamsError,
     ModelViolationError,
+    ThresholdRow,
     bridge_threshold,
     central_threshold,
     check_threshold_row,
@@ -12,9 +13,11 @@ from kintegration import (
     pair_bridge_minimum,
     segregation_verdict,
     star_quotient,
+    threshold_row,
     threshold_rows,
 )
 
+import naive
 from helpers import islands, islands_of_sizes
 
 
@@ -103,6 +106,18 @@ def test_threshold_rows_table():
         (2, Bound(2, 2), 3),
         (3, Bound(1, 1), 2),
     ]
+
+
+def test_table_matches_naive_transcription():
+    for r in range(1, 9):
+        for n in range(r, r + 3):
+            rows = threshold_rows(r, n, r + 3)
+            for k in range(1, r + 4):
+                lower, upper, centrals = naive.threshold_table(r, n, k)
+                assert threshold_row(r, n, k) == ThresholdRow(k, Bound(lower, upper), centrals)
+                assert bridge_threshold(r, n, k) == Bound(lower, upper)
+                assert central_threshold(r, n, k) == centrals
+                assert rows[k - 1] == ThresholdRow(k, Bound(lower, upper), centrals)
 
 
 def test_pair_bridge_minimum():
