@@ -3,8 +3,12 @@
 Each request runs in-process through ``cli.main`` in a fresh temporary
 directory, with relative paths so no digest depends on where it ran. Its
 entry holds the exit code and the sha256 of stdout, stderr and every file
-it wrote. ``tests/test_cli_manifest.py`` compares the corpus against the
-checked-in ``cli_manifest.json``.
+it wrote. The oracle grid's entries hold the minimum, witness, sets
+examined and exhausted size of ``oracle.min_bridges_for_sizes`` for every
+sorted profile of 2 to 4 communities of 1 to 4 nodes, at each k from 1 to
+r + 1 and a budget of ``GRID_BUDGET``, so the budget's exact stopping point
+is pinned with them. ``tests/test_cli_manifest.py`` compares the corpus
+against the checked-in ``cli_manifest.json``.
 
     PYTHONPATH=src python tests/cli_manifest.py          # report entries that differ
     PYTHONPATH=src python tests/cli_manifest.py --write  # rewrite the manifest
@@ -15,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -22,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from kintegration import cli
+from kintegration import cli, oracle
 
 MANIFEST = Path(__file__).with_name("cli_manifest.json")
 DATA_DIR = Path(__file__).with_name("data")
@@ -64,6 +69,7 @@ DISCONNECTED = {
 }
 
 FORMATS = ("json", "csv", "text")
+GRID_BUDGET = 50_000
 ANALYZE_FILES = ["--edges", "edges.txt", "--communities", "communities.txt"]
 
 
@@ -140,6 +146,27 @@ def corpus() -> dict[str, tuple[dict[str, str], list[str]]]:
     return entries
 
 
+def oracle_grid() -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each grid row's key and its (sizes, k)."""
+    return {
+        f"oracle: sizes {' '.join(map(str, sizes))} k {k}": (sizes, k)
+        for r in range(2, 5)
+        for sizes in itertools.combinations_with_replacement(range(1, 5), r)
+        for k in range(1, r + 2)
+    }
+
+
+def run_oracle(sizes: tuple[int, ...], k: int) -> dict:
+    """One grid row's verdict; the witness is written as "u-v" pairs, or None."""
+    verdict = oracle.min_bridges_for_sizes(sizes, k, GRID_BUDGET)
+    return {
+        "min_bridges": verdict.min_bridges,
+        "witness": None if verdict.witness is None else " ".join(f"{u}-{v}" for u, v in verdict.witness),
+        "sets_examined": verdict.sets_examined,
+        "exhausted_size": verdict.exhausted_size,
+    }
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -171,7 +198,8 @@ def run_request(inputs: dict[str, str], argv: list[str]) -> dict:
 
 
 def digests() -> dict[str, dict]:
-    return {key: run_request(inputs, argv) for key, (inputs, argv) in corpus().items()}
+    current = {key: run_request(inputs, argv) for key, (inputs, argv) in corpus().items()}
+    return current | {key: run_oracle(sizes, k) for key, (sizes, k) in oracle_grid().items()}
 
 
 def main(argv: list[str]) -> int:

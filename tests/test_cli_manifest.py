@@ -5,15 +5,17 @@ import json
 
 import pytest
 
-from cli_manifest import MANIFEST, corpus, run_request
+from cli_manifest import MANIFEST, corpus, oracle_grid, run_oracle, run_request
 from kintegration import cli
 
 PINNED = json.loads(MANIFEST.read_text())
 CORPUS = corpus()
+GRID = oracle_grid()
 
 
 def test_manifest_covers_the_corpus():
-    assert sorted(PINNED) == sorted(CORPUS)
+    assert len(GRID) == 285
+    assert sorted(PINNED) == sorted(CORPUS.keys() | GRID.keys())
 
 
 def test_corpus_covers_every_subcommand_and_format():
@@ -34,3 +36,8 @@ def test_corpus_covers_every_subcommand_and_format():
 def test_request_matches_manifest(key):
     inputs, argv = CORPUS[key]
     assert run_request(inputs, argv) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(GRID))
+def test_oracle_row_matches_manifest(key):
+    assert run_oracle(*GRID[key]) == PINNED[key]
