@@ -38,19 +38,27 @@ beyond k - 1 hops of every bridge end added since stays short, so each
 node hands its children its rule with the new ends' balls taken out.
 When such a source's whole (k - 1)-ball lies below the node's first u,
 no bridge below the node comes near it and every leaf below is refuted:
-the subtree is counted, not walked.  Nodes two and three bridges short
-grow their own balls only when the inherited rule does not refute their
-subtree, and a parent only for a leaf the rule leaves open; the INFO
-line counts both.
+the subtree is counted, not walked.  So is the subtree of a node two or
+more bridges short whose completion is not k-integrated: its bridges plus
+every later pair whose two ends sit below their community's bridged
+slots plus the bridges left.  Each community's bridged slots are a
+prefix and a bridge bridges at most one new node per community, so every
+leaf below lies inside the completion; a bridge never lengthens a path,
+so no leaf below is k-integrated.  A node tests its completion only when
+it holds fewer pairs than the last one an ancestor found k-integrated,
+as a child's completion lies inside its parent's.  Nodes two and three
+bridges short grow their own balls only when neither rule refutes their
+subtree, and a parent only for a leaf the inherited rule leaves open;
+the INFO line counts both, and the subtrees a completion refuted.
 
 Candidate counts grow combinatorially, so the search takes a budget of
 leaves, refuted ones included: a parent counts each u's leaves by
-popcount, and a refuted subtree's count comes in closed form from the
-same enumeration of what the gates admit, memoized by the node's start
-index, open mask and bridges left.  So a budget that runs out inside a
-refuted subtree stops at the exact leaf a walk would.  Exceeding it
-returns a partial verdict (min_bridges is None) rather than raising:
-the caller learns which sizes were fully ruled out.
+popcount, and a refuted subtree's count, whichever rule refuted it,
+comes in closed form from the same enumeration of what the gates admit,
+memoized by the node's start index, open mask and bridges left.  So a
+budget that runs out inside a refuted subtree stops at the exact leaf a
+walk would.  Exceeding it returns a partial verdict (min_bridges is None)
+rather than raising: the caller learns which sizes were fully ruled out.
 """
 
 from __future__ import annotations
@@ -207,6 +215,21 @@ class _Instance:
                                             for idx, _, _, child in self.children(start_idx, open_, left))
         return self.leaf_counts[key]
 
+    def completion(self, start_idx: int, ends: int, left: int, most: int) -> list[Edge] | None:
+        """The pairs a leaf ``left`` bridges below a node can add, or None when there are ``most`` or more.
+
+        They are the pairs from ``start_idx`` on whose two ends both sit below
+        their community's bridged slots plus ``left``: ``ends`` holds the
+        bridged nodes, a prefix of each community, and a bridge bridges at
+        most one new node per community.
+        """
+        allowed = 0
+        for lo, _ in self.spans:
+            slots = (ends & self.community[lo]).bit_count() + left
+            allowed |= self.community[lo] & ((1 << slots) - 1) << lo
+        pairs = [(u, v) for u, v in self.universe[start_idx:] if allowed >> u & allowed >> v & 1]
+        return pairs if len(pairs) < most else None
+
     def leaf_rule(self, edges, k: int) -> tuple[list[int], int]:
         """The (k-1)-balls and the sources whose k-ball is not full.
 
@@ -307,25 +330,36 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         found: tuple[Edge, ...] | None = None
         budget_hit = False
         before, checked, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
-        wholes = held = 0
+        wholes = held = completed = 0
 
-        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], near: list[int], short: int) -> bool:
+        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], ends: int, tested: int,
+                   near: list[int], short: int) -> bool:
             """Returns True to stop the whole size-m pass.
 
-            ``open_`` holds the nodes that may take a bridge; ``short`` holds
-            the sources short in an ancestor with balls ``near`` and beyond
-            k - 1 hops of every bridge added since, so they are short here.
+            ``open_`` holds the nodes that may take a bridge and ``ends`` those
+            that hold one; ``tested`` is the size of the last completion an
+            ancestor found k-integrated.  ``short`` holds the sources short in
+            an ancestor with balls ``near`` and beyond k - 1 hops of every
+            bridge added since, so they are short here.
             """
-            nonlocal examined, found, budget_hit, checked, parents, grown, wholes, held
+            nonlocal examined, found, budget_hit, checked, parents, grown, wholes, held, completed
             left = m - len(chosen)
             parents += left == 1
             u0 = universe[start_idx][0]
             whole = refutes_all(near, short, u0)
+            if not whole and left > 1:
+                # test the completion only when it lost a pair since an ancestor found it k-integrated
+                pairs = inst.completion(start_idx, ends, left, tested - len(chosen))
+                if pairs is not None:
+                    tested = len(chosen) + len(pairs)
+                    whole = not inst.is_k_integrated((*chosen, *pairs), k)
+                    completed += whole
             if not whole and 1 < left < 4:
                 near, short = inst.leaf_rule(chosen, k)
                 whole = refutes_all(near, short, u0)
             if whole:
-                # every leaf below keeps that source short: count them, walk none
+                # every leaf below keeps that source short, or adds only pairs of a completion that is not
+                # k-integrated: count them, walk none
                 count = inst.leaf_count(start_idx, open_, left)
                 wholes, budget_hit = wholes + 1, examined + count > budget
                 count = min(count, budget - examined)
@@ -333,7 +367,8 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                 return budget_hit
             if left > 1:
                 for idx, u, v, child in inst.children(start_idx, open_, left):
-                    if extend(idx + 1, child, (*chosen, (u, v)), near, short & ~near[u] & ~near[v]):
+                    if extend(idx + 1, child, (*chosen, (u, v)), ends | 1 << u | 1 << v, tested,
+                              near, short & ~near[u] & ~near[v]):
                         return True
                 return False
             # the leaves, one u at a time, all counted; this node grows balls only for a leaf the inherited rule leaves open
@@ -360,12 +395,12 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                     return True
             return False
 
-        extend(0, inst.base, (), inst.community, 0)  # above three bridges short no source is known short
+        extend(0, inst.base, (), 0, last + 1, inst.community, 0)  # above three bridges short no source is known short
         sets = examined - before
         rate = sets / max(time.perf_counter() - began, 1e-9)
         log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d subtrees refuted whole holding %d sets, "
-                 "%d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
-                 m, sets, sets - checked, checked, wholes, held, grown, parents, rate, examined, budget)
+                 "%d of them by their completion, %d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
+                 m, sets, sets - checked, checked, wholes, held, completed, grown, parents, rate, examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:

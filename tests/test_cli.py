@@ -220,21 +220,25 @@ def test_certify_logs_one_progress_line_per_size_at_info(capsys, caplog):
     assert code == 0 and err == ""
     (row,) = json.loads(out)["rows"]
     pattern = (r"size (\d+): (\d+) sets, (\d+) refuted without a check, (\d+) checked in full, "
-               r"(\d+) subtrees refuted whole holding (\d+) sets, "
+               r"(\d+) subtrees refuted whole holding (\d+) sets, (\d+) of them by their completion, "
                r"(\d+) of (\d+) parents grew their own balls, \d+ sets/s, budget (\d+) of 2000000 used")
     passes = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
-    assert [size for size, *_ in passes] == list(range(2, row["min_bridges"] + 1))
-    assert sum(sets for _, sets, *_ in passes) == row["sets_examined"]
-    assert all(sets == refuted + checked for _, sets, refuted, checked, *_ in passes)
-    assert sum(refuted for _, _, refuted, *_ in passes) > 0
+    sizes, sets, refuted, checked, wholes, held, completed, grown, parents, used = zip(*passes)
+    assert list(sizes) == list(range(2, row["min_bridges"] + 1))
+    assert sum(sets) == row["sets_examined"]
+    assert all(s == r + c for s, r, c in zip(sets, refuted, checked))
+    assert sum(refuted) > 0
     # a subtree refuted whole has its sets counted, none checked
-    assert all(held <= refuted for _, _, refuted, _, _, held, *_ in passes)
-    assert sum(wholes for *_, wholes, _, _, _, _ in passes) > 0
+    assert all(h <= r for h, r in zip(held, refuted))
+    assert sum(wholes) > 0
+    # some of those subtrees are refuted by their completion, and only those count here
+    assert all(c <= w for c, w in zip(completed, wholes))
+    assert sum(completed) > 0
     # a parent grows its own balls only for a leaf the rule it inherits leaves open
-    assert all(grown <= parents for *_, grown, parents, _ in passes)
-    assert sum(grown for *_, grown, _, _ in passes) < sum(parents for *_, parents, _ in passes)
+    assert all(g <= p for g, p in zip(grown, parents))
+    assert sum(grown) < sum(parents)
     # the budget figure is the running total of sets examined
-    assert passes[-1][8] == row["sets_examined"]
+    assert used[-1] == row["sets_examined"]
 
 
 def test_certify_budget_exhaustion_exits_2(capsys):

@@ -237,21 +237,23 @@ def test_leaf_count_matches_a_plain_walk(sizes):
         reachable |= {take(take(o, u), v) for o in reachable if u in o and v in take(o, u)}
 
 
-# leaf_rule calls (every level's together) and full checks on the benchmark's rows:
-# without the grandparent rule every parent grew its own balls, 21,760, 2,549 and
-# 27,210 calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; the full
-# checks were the same throughout
+# leaf_rule calls (every level's together), full checks and completion tests on the
+# benchmark's rows; every completion test is one more is_k_integrated call.  Without
+# the grandparent rule every parent grew its own balls, 21,760, 2,549 and 27,210
+# calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; before subtrees
+# were refuted by their completion 8,516/1,618, 1,964/1,721 and 6,493/0 calls and
+# checks.  The sets examined and the verdicts stayed the same throughout
 LEAF_WORK = [
-    ((4, 4, 4), 2, None, 8_516, 1_618),
-    ((4, 4, 4, 4), 3, None, 1_964, 1_721),
-    ((4, 4, 4, 4), 2, 300_000, 6_493, 0),
+    ((4, 4, 4), 2, None, 2_632, 538, 1_224),
+    ((4, 4, 4, 4), 3, None, 1_518, 1_216, 176),
+    ((4, 4, 4, 4), 2, 300_000, 60, 0, 332),
 ]
 
 
-@pytest.mark.parametrize("sizes,k,budget,rules,checks", LEAF_WORK)
-def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks):
-    calls = {"leaf_rule": 0, "is_k_integrated": 0}
-    for name in calls:
+@pytest.mark.parametrize("sizes,k,budget,rules,checks,tests", LEAF_WORK)
+def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks, tests):
+    calls = {"leaf_rule": 0, "is_k_integrated": 0, "completion": 0}
+    for name in ("leaf_rule", "is_k_integrated"):
         method = getattr(oracle._Instance, name)
 
         def counting(self, edges, k, name=name, method=method):
@@ -259,8 +261,75 @@ def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks):
             return method(self, edges, k)
 
         monkeypatch.setattr(oracle._Instance, name, counting)
+    completion = oracle._Instance.completion
+
+    def counting_tests(self, *args):
+        pairs = completion(self, *args)
+        calls["completion"] += pairs is not None
+        return pairs
+
+    monkeypatch.setattr(oracle._Instance, "completion", counting_tests)
     min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
-    assert calls == {"leaf_rule": rules, "is_k_integrated": checks}
+    assert calls == {"leaf_rule": rules, "is_k_integrated": checks + tests, "completion": tests}
+
+
+def _search_nodes(sizes, m):
+    """(chosen, start index, leaves below) of every node the gates admit in a size-m pass.
+
+    Read off the symmetry rule with sets, independently of the search's masks.
+    """
+    gate = _gates(sizes)
+    universe = naive.cross_pairs(sizes)
+
+    def take(open_, x):
+        return open_ | {x} | {y for y, g in gate.items() if g == x}
+
+    def walk(chosen, i, open_):
+        # the leaves below this node, after yielding every node below it
+        leaves = []
+        for j in range(i, len(universe)):
+            u, v = universe[j]
+            if u in open_ and v in take(open_, u):
+                child = (*chosen, (u, v))
+                leaves += (yield from walk(child, j + 1, take(take(open_, u), v))) if len(child) < m else [child]
+        yield chosen, i, leaves
+        return leaves
+
+    yield from walk((), 0, frozenset(x for x, g in gate.items() if g is None))
+
+
+@pytest.mark.parametrize("sizes,k", [((3, 3), 2), ((1, 2, 3), 2), ((1, 2, 3), 3), ((2, 2, 2), 2), ((2, 2, 2), 3),
+                                     ((1, 1, 2, 2), 3)])
+def test_completion_refutes_only_subtrees_without_a_feasible_leaf(sizes, k):
+    # at every node two or more bridges short, in every pass, every leaf below lies inside
+    # the node's completion; where the completion is not k-integrated, no leaf below is,
+    # by brute force over the leaves
+    inst = oracle._instance(sizes)
+    base = naive.local_edges(sizes)
+    refuted = 0
+    for m in range(len(sizes) - 1, len(inst.universe) + 1):
+        for chosen, start_idx, leaves in _search_nodes(sizes, m):
+            left = m - len(chosen)
+            if left < 2:
+                continue
+            ends = sum(1 << x for x in {x for edge in chosen for x in edge})
+            completion = set(chosen) | set(inst.completion(start_idx, ends, left, len(inst.universe) + 1))
+            assert all(set(leaf) <= completion for leaf in leaves)
+            if not naive.is_k_integrated(sum(sizes), base + sorted(completion), k):
+                refuted += 1
+                assert not any(naive.is_k_integrated(sum(sizes), base + list(leaf), k) for leaf in leaves)
+    assert refuted > 0
+
+
+@pytest.mark.parametrize("row", [row for row in PINNED if row[3] < 200_000], ids=lambda row: f"{row[0]}-k{row[1]}")
+def test_completion_changes_no_verdict_and_no_count(monkeypatch, row):
+    # with the completion never tested, the same sets are examined and the same verdicts come out,
+    # also where a smaller budget stops the search partway
+    sizes, k, budget, examined = row[:4]
+    budgets = [budget or oracle.DEFAULT_BUDGET, 1, examined // 3, examined - 1]
+    cut = [min_bridges_for_sizes(sizes, k, b) for b in budgets]
+    monkeypatch.setattr(oracle._Instance, "completion", lambda self, *args: None)
+    assert [min_bridges_for_sizes(sizes, k, b) for b in budgets] == cut
 
 
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
