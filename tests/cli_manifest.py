@@ -7,8 +7,12 @@ it wrote. The oracle grid's entries hold the minimum, witness, sets
 examined and exhausted size of ``oracle.min_bridges_for_sizes`` for every
 sorted profile of 2 to 4 communities of 1 to 4 nodes, at each k from 1 to
 r + 1 and a budget of ``GRID_BUDGET``, so the budget's exact stopping point
-is pinned with them. ``tests/test_cli_manifest.py`` compares the corpus
-against the checked-in ``cli_manifest.json``.
+is pinned with them. The randomized grid's entries hold the witness of
+``oracle.min_bridges_randomized`` for 2 to 6 communities of 1 to 4 nodes at
+each k from 2 to r + 2, seeds 0 and 1 and 3 trials, and for 8 communities
+of 8 nodes at k 2 to 4, seeds 0 to 2 and 20 trials.
+``tests/test_cli_manifest.py`` compares the corpus against the checked-in
+``cli_manifest.json``.
 
     PYTHONPATH=src python tests/cli_manifest.py          # report entries that differ
     PYTHONPATH=src python tests/cli_manifest.py --write  # rewrite the manifest
@@ -167,6 +171,19 @@ def run_oracle(sizes: tuple[int, ...], k: int) -> dict:
     }
 
 
+def randomized_grid() -> dict[str, tuple[int, int, int, int, int]]:
+    """Each randomized row's key and its (r, n, k, seed, trials)."""
+    rows = [(r, n, k, seed, 3) for r in range(2, 7) for n in range(1, 5) for k in range(2, r + 3) for seed in (0, 1)]
+    rows += [(8, 8, k, seed, 20) for k in (2, 3, 4) for seed in (0, 1, 2)]
+    return {"randomized: r {} n {} k {} seed {} trials {}".format(*row): row for row in rows}
+
+
+def run_randomized(r: int, n: int, k: int, seed: int, trials: int) -> dict:
+    """One randomized row's witness, written as "u-v" pairs."""
+    witness = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
+    return {"witness": " ".join(f"{u}-{v}" for u, v in witness)}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -199,7 +216,8 @@ def run_request(inputs: dict[str, str], argv: list[str]) -> dict:
 
 def digests() -> dict[str, dict]:
     current = {key: run_request(inputs, argv) for key, (inputs, argv) in corpus().items()}
-    return current | {key: run_oracle(sizes, k) for key, (sizes, k) in oracle_grid().items()}
+    current |= {key: run_oracle(sizes, k) for key, (sizes, k) in oracle_grid().items()}
+    return current | {key: run_randomized(*row) for key, row in randomized_grid().items()}
 
 
 def main(argv: list[str]) -> int:

@@ -5,17 +5,19 @@ import json
 
 import pytest
 
-from cli_manifest import MANIFEST, corpus, oracle_grid, run_oracle, run_request
+from cli_manifest import MANIFEST, corpus, oracle_grid, randomized_grid, run_oracle, run_randomized, run_request
 from kintegration import cli
 
 PINNED = json.loads(MANIFEST.read_text())
 CORPUS = corpus()
 GRID = oracle_grid()
+RANDOMIZED = randomized_grid()
 
 
 def test_manifest_covers_the_corpus():
     assert len(GRID) == 285
-    assert sorted(PINNED) == sorted(CORPUS.keys() | GRID.keys())
+    assert len(RANDOMIZED) == 209
+    assert sorted(PINNED) == sorted(CORPUS.keys() | GRID.keys() | RANDOMIZED.keys())
 
 
 def test_corpus_covers_every_subcommand_and_format():
@@ -41,3 +43,8 @@ def test_request_matches_manifest(key):
 @pytest.mark.parametrize("key", sorted(GRID))
 def test_oracle_row_matches_manifest(key):
     assert run_oracle(*GRID[key]) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(RANDOMIZED))
+def test_randomized_row_matches_manifest(key):
+    assert run_randomized(*RANDOMIZED[key]) == PINNED[key]
