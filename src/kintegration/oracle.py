@@ -66,6 +66,7 @@ from __future__ import annotations
 import logging
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -425,8 +426,18 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
 
     Each trial starts from a known feasible set, removes edges in random
     order (keeping the set feasible), then tries random edge swaps to
-    escape local minima.  The returned set is always verified feasible,
-    so the bound is sound even though it may not be tight.
+    escape local minima.  Every set the search holds (the starting set,
+    the current one and the one a prune works on) keeps a table, filled
+    lazily, of the leaf rule of the set without each of its edges.  A
+    prune keeps an edge when that rule has a short source, which is
+    exactly when the set without it is not k-integrated; a removal starts
+    a fresh table, and the starting set's table serves every trial.  A
+    swap (e_out, e_in) is refuted in O(1) by the current set's rule for
+    e_out, when a short source lies beyond k - 1 hops of both ends of
+    e_in; only the swaps it leaves open get a full check.  The returned
+    set is always verified feasible, so the bound is sound even though it
+    may not be tight.  The RNG draws are fixed by the seed, so a seed
+    names one witness.
     """
     require_int("r", r, 1)
     require_int("n", n, 1)
@@ -442,51 +453,66 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
         built = two_star(r, n)
     else:
         built = extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
-    initial = tuple(e for e in built.graph.edges if built.graph.is_bridge(*e))
+    initial = frozenset(e for e in built.graph.edges if built.graph.is_bridge(*e))
     if not inst.is_k_integrated(initial, k):
         raise AssertionError("internal: seed bridge set failed its own check")
     rng = random.Random(seed)
     universe = inst.universe
     floor = r - 1  # connectivity needs at least r-1 bridges
+    refuted = checked = grown = 0
 
-    def prune(edges) -> set[Edge]:
-        keep = set(edges)
-        order = sorted(keep)
+    def rule(edges: frozenset[Edge], table: dict, e: Edge) -> tuple[list[int], int]:
+        """The leaf rule of ``edges`` without e, read from the table of ``edges`` or grown into it."""
+        nonlocal grown
+        if e not in table:
+            table[e], grown = inst.leaf_rule(edges - {e}, k), grown + 1
+        return table[e]
+
+    def prune(edges: frozenset[Edge], table: dict) -> tuple[frozenset[Edge], dict]:
+        """``edges`` with edges dropped in random order while it stays k-integrated, and its table."""
+        order = sorted(edges)
         rng.shuffle(order)
         for e in order:
-            if len(keep) <= floor:
+            if len(edges) <= floor:
                 break
-            keep.discard(e)
-            if not inst.is_k_integrated(keep, k):
-                keep.add(e)
-        return keep
+            if not rule(edges, table, e)[1]:
+                edges, table = edges - {e}, {}
+        return edges, table
 
+    def drawing(edges: frozenset[Edge]) -> tuple[list[Edge], list[int]]:
+        """``edges`` sorted, and before each the count of unused pairs of the universe below it."""
+        ordered = sorted(edges)
+        return ordered, [bisect_left(universe, e) - j for j, e in enumerate(ordered)]
+
+    initial_table: dict = {}
     best = tuple(sorted(initial))
     for _ in range(trials):
-        current = prune(initial)
+        current, table = prune(initial, initial_table)
+        ordered, gaps = drawing(current)
         for _ in range(max(10, 2 * len(current))):
             if len(current) <= floor:
                 break
-            ordered = sorted(current)
             e_out = rng.choice(ordered)
             if len(ordered) == len(universe):
                 break
-            # the i-th unused pair, drawn by the RNG call rng.choice(unused) makes;
-            # universe and ordered are sorted, so step i past each used pair up to it
+            # the i-th unused pair, drawn by the RNG call rng.choice(unused) makes:
+            # i plus the used pairs with at most i unused pairs below them
             i = rng.choice(range(len(universe) - len(ordered)))
-            for e in ordered:
-                if e > universe[i]:
-                    break
-                i += 1
-            e_in = universe[i]
-            candidate = (current - {e_out}) | {e_in}
-            if not inst.is_k_integrated(candidate, k):
+            e_in = u, v = universe[i + bisect_right(gaps, i)]
+            near, short = rule(current, table, e_out)
+            if short & ~(near[u] | near[v]):
+                refuted += 1
                 continue
-            pruned = prune(candidate)
-            if len(pruned) <= len(current):
-                current = pruned
+            checked += 1
+            candidate = current - {e_out} | {e_in}
+            if inst.is_k_integrated(candidate, k):
+                current, table = prune(candidate, {})
+                ordered, gaps = drawing(current)
         if len(current) < len(best):
             best = tuple(sorted(current))
+    log.info("randomized r %d n %d k %d: %d trials, %d swaps drawn, %d refuted by a leaf rule, %d checked in full, "
+             "%d leaf rules grown, best %d bridges", r, n, k, trials, refuted + checked, refuted, checked, grown,
+             len(best))
     return best
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 INF = float("inf")
 
@@ -156,3 +157,46 @@ def min_bridges(sizes, k, max_size=None):
             if is_k_integrated(node_count, base + list(combo), k):
                 return size, combo
     return None
+
+
+def shuffle_and_prune(r, n, k, initial, trials, seed):
+    """The randomized search's witness, redone with full checks and the plain draws.
+
+    Each trial prunes ``initial`` (drops its edges in shuffled sorted order
+    while the set stays k-integrated), then draws swaps: an edge to drop by
+    ``rng.choice`` over the sorted set and one to add by ``rng.choice`` over
+    the sorted unused pairs, pruning any swap that stays k-integrated.
+    Returns the smallest set found, sorted, ``initial`` included.
+    """
+    sizes = (n,) * r
+    node_count, base, universe = r * n, local_edges(sizes), cross_pairs(sizes)
+    rng = random.Random(seed)
+
+    def feasible(edges):
+        return is_k_integrated(node_count, base + sorted(edges), k)
+
+    def prune(edges):
+        keep = set(edges)
+        order = sorted(keep)
+        rng.shuffle(order)
+        for e in order:
+            if len(keep) > r - 1 and feasible(keep - {e}):
+                keep.discard(e)
+        return keep
+
+    best = sorted(initial)
+    for _ in range(trials):
+        current = prune(initial)
+        for _ in range(max(10, 2 * len(current))):
+            if len(current) <= r - 1:
+                break
+            e_out = rng.choice(sorted(current))
+            unused = [e for e in universe if e not in current]
+            if not unused:
+                break
+            candidate = current - {e_out} | {rng.choice(unused)}
+            if feasible(candidate):
+                current = prune(candidate)
+        if len(current) < len(best):
+            best = sorted(current)
+    return tuple(best)

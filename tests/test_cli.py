@@ -241,6 +241,23 @@ def test_certify_logs_one_progress_line_per_size_at_info(capsys, caplog):
     assert used[-1] == row["sets_examined"]
 
 
+def test_randomized_certify_logs_one_line_per_row_at_info(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="kintegration.oracle")
+    code, out, err = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2,3", "--mode", "randomized",
+                                  "--seed", "1", "--trials", "4"])
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    pattern = (r"randomized r 3 n 3 k (\d+): 4 trials, (\d+) swaps drawn, (\d+) refuted by a leaf rule, "
+               r"(\d+) checked in full, (\d+) leaf rules grown, best (\d+) bridges")
+    lines = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
+    assert [line[0] for line in lines] == [2, 3]
+    for (_, drawn, refuted, checked, grown, best), row in zip(lines, rows):
+        # every swap drawn is refuted by a leaf rule or checked in full
+        assert drawn == refuted + checked and refuted > 0
+        assert grown > 0
+        assert best == len(row["witness"])
+
+
 def test_certify_budget_exhaustion_exits_2(capsys):
     code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2", "--budget", "4"])
     assert code == 2

@@ -11,10 +11,14 @@ from kintegration import (
     ThresholdRow,
     bridge_threshold,
     check_threshold_row,
+    complete_quotient,
+    extended_star,
     min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
     oracle,
+    star_quotient,
+    two_star,
 )
 
 import naive
@@ -169,6 +173,17 @@ def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
 
 
+@given(profile_and_bridges(max_r=4, max_size=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_leaf_rule_has_no_short_source_exactly_when_k_integrated(case, data):
+    # the randomized prune keeps an edge when the set without it has a short source, so the two must agree;
+    # k runs past node_count - 1, where the rounds stop
+    sizes, _, bridges = case
+    k = data.draw(st.integers(1, sum(sizes) + 2))
+    _, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    assert (short == 0) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
+
+
 @given(profile_and_bridges(max_r=4, max_size=3), st.integers(1, 4), st.data())
 @settings(max_examples=300, deadline=None)
 def test_grandparent_rule_refutes_only_infeasible_sets(case, k, data):
@@ -237,6 +252,20 @@ def test_leaf_count_matches_a_plain_walk(sizes):
         reachable |= {take(take(o, u), v) for o in reachable if u in o and v in take(o, u)}
 
 
+def _count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Counts of the ``leaf_rule`` and ``is_k_integrated`` calls made from now on, kept current."""
+    calls = {"leaf_rule": 0, "is_k_integrated": 0}
+    for name in calls:
+        method = getattr(oracle._Instance, name)
+
+        def counting(self, edges, k, name=name, method=method):
+            calls[name] += 1
+            return method(self, edges, k)
+
+        monkeypatch.setattr(oracle._Instance, name, counting)
+    return calls
+
+
 # leaf_rule calls (every level's together), full checks and completion tests on the
 # benchmark's rows; every completion test is one more is_k_integrated call.  Without
 # the grandparent rule every parent grew its own balls, 21,760, 2,549 and 27,210
@@ -252,15 +281,8 @@ LEAF_WORK = [
 
 @pytest.mark.parametrize("sizes,k,budget,rules,checks,tests", LEAF_WORK)
 def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks, tests):
-    calls = {"leaf_rule": 0, "is_k_integrated": 0, "completion": 0}
-    for name in ("leaf_rule", "is_k_integrated"):
-        method = getattr(oracle._Instance, name)
-
-        def counting(self, edges, k, name=name, method=method):
-            calls[name] += 1
-            return method(self, edges, k)
-
-        monkeypatch.setattr(oracle._Instance, name, counting)
+    calls = _count_kernel_calls(monkeypatch)
+    calls["completion"] = 0
     completion = oracle._Instance.completion
 
     def counting_tests(self, *args):
@@ -437,6 +459,35 @@ def test_randomized_finds_exact_minimum_on_easy_cases():
 def test_randomized_witness_is_pinned(r, n, k, seed, trials, witness):
     # the swaps draw from the RNG in a fixed order, so a seed names one witness
     assert min_bridges_randomized(r, n, k, trials=trials, seed=seed) == witness
+
+
+def _seed_bridges(r, n, k):
+    """The bridges of the construction the randomized search starts from."""
+    built = two_star(r, n) if k == 2 else extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
+    return {e for e in built.graph.edges if built.graph.is_bridge(*e)}
+
+
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_randomized_matches_plain_shuffle_and_prune(r, n, extra, seed, trials):
+    # the leaf-rule tables change which checks run, never a verdict, and the draws map to the same pairs
+    k = 2 + extra % r
+    expected = naive.shuffle_and_prune(r, n, k, _seed_bridges(r, n, k), trials, seed)
+    assert min_bridges_randomized(r, n, k, trials=trials, seed=seed) == expected
+
+
+# leaf_rule and is_k_integrated calls of the 20-trial seed-1 rows; on (6, 1, 3) prunes drop edges
+# of the starting set, each removal starting a fresh table.  Before each bridge set kept a table of
+# leaf rules, every prune step and every swap was a full check: 0/3,361 and 0/2,745 calls on the
+# (8, 8) rows
+RANDOMIZED_WORK = [(8, 8, 2, 56, 1), (8, 8, 3, 1_092, 230), (6, 1, 3, 315, 19)]
+
+
+@pytest.mark.parametrize("r,n,k,rules,checks", RANDOMIZED_WORK)
+def test_randomized_work_is_pinned(monkeypatch, r, n, k, rules, checks):
+    calls = _count_kernel_calls(monkeypatch)
+    min_bridges_randomized(r, n, k, trials=20, seed=1)
+    assert calls == {"leaf_rule": rules, "is_k_integrated": checks}
 
 
 def test_randomized_k1_and_r1():
