@@ -35,8 +35,8 @@ class InvalidParamsError(KIntegrationError):
 
 
 def require_int(name: str, value: object, minimum: int, maximum: int | None = None) -> None:
-    """Raise InvalidParamsError unless ``value`` is an integer in [minimum, maximum]."""
-    if not isinstance(value, int):
+    """Raise InvalidParamsError unless ``value`` is an integer, not a bool, in [minimum, maximum]."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidParamsError(f"{name} must be >= {minimum}, got {value}")

@@ -26,16 +26,14 @@ the community masks plus each bridge's ends, and each further round
 gives a community's members the union of its balls (a community is a
 clique), then each bridge adds its partner's old ball, up to
 min(k, nodes - 1) rounds; the set is k-integrated when every k-ball is
-full.  In the last round a node without a bridge gets only the union of
-its community's balls, so a check ends before that round when such a
-union is not full.  A leaf P + (u, v) is decided from its parent's
-balls: a bridge with both ends beyond k - 1 hops of a source brings
-nothing within k hops of it, so the leaf is refuted when such a
-source's k-ball in P is not full.  Balls are symmetric, so for each u
-only the v near its first such source are tested, and those that pass
-get a full check.  By the same proof a source short in an ancestor and
-beyond k - 1 hops of every bridge end added since stays short, so each
-node hands its children its rule with the new ends' balls taken out.
+full.  A leaf P + (u, v) is decided from its parent's balls: a bridge
+with both ends beyond k - 1 hops of a source brings nothing within k
+hops of it, so the leaf is refuted when such a source's k-ball in P is
+not full.  Balls are symmetric, so for each u only the v near its first
+such source are tested, and those that pass get a full check.  By the
+same proof a source short in an ancestor and beyond k - 1 hops of every
+bridge end added since stays short, so each node hands its children its
+rule with the new ends' balls taken out.
 When such a source's whole (k - 1)-ball lies below the node's first u,
 no bridge below the node comes near it and every leaf below is refuted:
 the subtree is counted, not walked.  So is the subtree of a node two or
@@ -44,12 +42,10 @@ every later pair whose two ends sit below their community's bridged
 slots plus the bridges left.  Each community's bridged slots are a
 prefix and a bridge bridges at most one new node per community, so every
 leaf below lies inside the completion; a bridge never lengthens a path,
-so no leaf below is k-integrated.  A node tests its completion only when
-it holds fewer pairs than the last one an ancestor found k-integrated,
-as a child's completion lies inside its parent's.  Nodes two and three
-bridges short grow their own balls only when neither rule refutes their
-subtree, and a parent only for a leaf the inherited rule leaves open;
-the INFO line counts both, and the subtrees a completion refuted.
+so no leaf below is k-integrated.  Nodes two and three bridges short
+grow their own balls only when neither rule refutes their subtree, and a
+parent only for a leaf the inherited rule leaves open; the INFO line
+counts both, and the subtrees a completion refuted.
 
 Candidate counts grow combinatorially, so the search takes a budget of
 leaves, refuted ones included: a parent counts each u's leaves by
@@ -172,20 +168,8 @@ class _Instance:
         return balls
 
     def is_k_integrated(self, edges, k: int) -> bool:
-        """True iff every pair of nodes is within distance k.
-
-        The last round gives a node without a bridge only the union of its
-        community's balls, so the check ends before that round when such a
-        union is not full.
-        """
-        near = self.balls(edges, min(k, self.node_count - 1) - 1)
-        ends = 0
-        for u, v in edges:
-            ends |= 1 << u | 1 << v
-        for lo, hi in self.spans:
-            if self.community[lo] & ~ends and reduce(or_, near[lo:hi]) != self.full_mask:
-                return False
-        return reduce(and_, self.grow(near, edges)) == self.full_mask
+        """True iff every pair of nodes is within distance k."""
+        return reduce(and_, self.balls(edges, k)) == self.full_mask
 
     def children(self, start_idx: int, open_: int, left: int):
         """(idx, u, v, open mask) of each child the gates admit below a node ``left`` bridges short."""
@@ -216,8 +200,8 @@ class _Instance:
                                             for idx, _, _, child in self.children(start_idx, open_, left))
         return self.leaf_counts[key]
 
-    def completion(self, start_idx: int, ends: int, left: int, most: int) -> list[Edge] | None:
-        """The pairs a leaf ``left`` bridges below a node can add, or None when there are ``most`` or more.
+    def completion(self, start_idx: int, ends: int, left: int) -> list[Edge]:
+        """The pairs a leaf ``left`` bridges below a node can add.
 
         They are the pairs from ``start_idx`` on whose two ends both sit below
         their community's bridged slots plus ``left``: ``ends`` holds the
@@ -228,8 +212,7 @@ class _Instance:
         for lo, _ in self.spans:
             slots = (ends & self.community[lo]).bit_count() + left
             allowed |= self.community[lo] & ((1 << slots) - 1) << lo
-        pairs = [(u, v) for u, v in self.universe[start_idx:] if allowed >> u & allowed >> v & 1]
-        return pairs if len(pairs) < most else None
+        return [(u, v) for u, v in self.universe[start_idx:] if allowed >> u & allowed >> v & 1]
 
     def leaf_rule(self, edges, k: int) -> tuple[list[int], int]:
         """The (k-1)-balls and the sources whose k-ball is not full.
@@ -277,8 +260,10 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     """Exact minimum bridge count for communities of the given sizes.
 
     Sizes are sorted ascending internally and the verdict reports the
-    sorted profile; witness node ids refer to that layout.
+    sorted profile; witness node ids refer to that layout.  ``sizes`` is
+    read once, so any iterable will do.
     """
+    sizes = tuple(sizes)
     if not sizes:
         raise InvalidParamsError("need at least one community")
     for s in sizes:
@@ -333,15 +318,13 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         before, checked, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
         wholes = held = completed = 0
 
-        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], ends: int, tested: int,
-                   near: list[int], short: int) -> bool:
+        def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], ends: int, near: list[int], short: int) -> bool:
             """Returns True to stop the whole size-m pass.
 
             ``open_`` holds the nodes that may take a bridge and ``ends`` those
-            that hold one; ``tested`` is the size of the last completion an
-            ancestor found k-integrated.  ``short`` holds the sources short in
-            an ancestor with balls ``near`` and beyond k - 1 hops of every
-            bridge added since, so they are short here.
+            that hold one.  ``short`` holds the sources short in an ancestor
+            with balls ``near`` and beyond k - 1 hops of every bridge added
+            since, so they are short here.
             """
             nonlocal examined, found, budget_hit, checked, parents, grown, wholes, held, completed
             left = m - len(chosen)
@@ -349,12 +332,8 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
             u0 = universe[start_idx][0]
             whole = refutes_all(near, short, u0)
             if not whole and left > 1:
-                # test the completion only when it lost a pair since an ancestor found it k-integrated
-                pairs = inst.completion(start_idx, ends, left, tested - len(chosen))
-                if pairs is not None:
-                    tested = len(chosen) + len(pairs)
-                    whole = not inst.is_k_integrated((*chosen, *pairs), k)
-                    completed += whole
+                whole = not inst.is_k_integrated((*chosen, *inst.completion(start_idx, ends, left)), k)
+                completed += whole
             if not whole and 1 < left < 4:
                 near, short = inst.leaf_rule(chosen, k)
                 whole = refutes_all(near, short, u0)
@@ -368,8 +347,8 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                 return budget_hit
             if left > 1:
                 for idx, u, v, child in inst.children(start_idx, open_, left):
-                    if extend(idx + 1, child, (*chosen, (u, v)), ends | 1 << u | 1 << v, tested,
-                              near, short & ~near[u] & ~near[v]):
+                    if extend(idx + 1, child, (*chosen, (u, v)), ends | 1 << u | 1 << v, near,
+                              short & ~near[u] & ~near[v]):
                         return True
                 return False
             # the leaves, one u at a time, all counted; this node grows balls only for a leaf the inherited rule leaves open
@@ -396,7 +375,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                     return True
             return False
 
-        extend(0, inst.base, (), 0, last + 1, inst.community, 0)  # above three bridges short no source is known short
+        extend(0, inst.base, (), 0, inst.community, 0)  # above three bridges short no source is known short
         sets = examined - before
         rate = sets / max(time.perf_counter() - began, 1e-9)
         log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d subtrees refuted whole holding %d sets, "

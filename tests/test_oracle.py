@@ -271,11 +271,13 @@ def _count_kernel_calls(monkeypatch) -> dict[str, int]:
 # the grandparent rule every parent grew its own balls, 21,760, 2,549 and 27,210
 # calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; before subtrees
 # were refuted by their completion 8,516/1,618, 1,964/1,721 and 6,493/0 calls and
-# checks.  The sets examined and the verdicts stayed the same throughout
+# checks; while a node tested its completion only when it had lost a pair since an
+# ancestor's k-integrated one, 1,224, 176 and 332 tests.  The sets examined and the
+# verdicts stayed the same throughout
 LEAF_WORK = [
-    ((4, 4, 4), 2, None, 2_632, 538, 1_224),
-    ((4, 4, 4, 4), 3, None, 1_518, 1_216, 176),
-    ((4, 4, 4, 4), 2, 300_000, 60, 0, 332),
+    ((4, 4, 4), 2, None, 2_632, 538, 1_306),
+    ((4, 4, 4, 4), 3, None, 1_518, 1_216, 179),
+    ((4, 4, 4, 4), 2, 300_000, 60, 0, 340),
 ]
 
 
@@ -286,9 +288,8 @@ def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks, tests
     completion = oracle._Instance.completion
 
     def counting_tests(self, *args):
-        pairs = completion(self, *args)
-        calls["completion"] += pairs is not None
-        return pairs
+        calls["completion"] += 1
+        return completion(self, *args)
 
     monkeypatch.setattr(oracle._Instance, "completion", counting_tests)
     min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
@@ -335,7 +336,7 @@ def test_completion_refutes_only_subtrees_without_a_feasible_leaf(sizes, k):
             if left < 2:
                 continue
             ends = sum(1 << x for x in {x for edge in chosen for x in edge})
-            completion = set(chosen) | set(inst.completion(start_idx, ends, left, len(inst.universe) + 1))
+            completion = set(chosen) | set(inst.completion(start_idx, ends, left))
             assert all(set(leaf) <= completion for leaf in leaves)
             if not naive.is_k_integrated(sum(sizes), base + sorted(completion), k):
                 refuted += 1
@@ -345,20 +346,19 @@ def test_completion_refutes_only_subtrees_without_a_feasible_leaf(sizes, k):
 
 @pytest.mark.parametrize("row", [row for row in PINNED if row[3] < 200_000], ids=lambda row: f"{row[0]}-k{row[1]}")
 def test_completion_changes_no_verdict_and_no_count(monkeypatch, row):
-    # with the completion never tested, the same sets are examined and the same verdicts come out,
-    # also where a smaller budget stops the search partway
+    # with the cut turned off, the same sets are examined and the same verdicts come out, also
+    # where a smaller budget stops the search partway: every cross pair together is 1-integrated,
+    # so a completion of the whole universe never refutes a subtree
     sizes, k, budget, examined = row[:4]
     budgets = [budget or oracle.DEFAULT_BUDGET, 1, examined // 3, examined - 1]
     cut = [min_bridges_for_sizes(sizes, k, b) for b in budgets]
-    monkeypatch.setattr(oracle._Instance, "completion", lambda self, *args: None)
+    monkeypatch.setattr(oracle._Instance, "completion", lambda self, *args: self.universe)
     assert [min_bridges_for_sizes(sizes, k, b) for b in budgets] == cut
 
 
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
-    # a check costs min(k, nodes - 1) rounds, so a huge k cannot hang; the first
-    # round starts from the community masks, so it is not a grow call, and an
-    # infeasible check ends before its last round when a community without a
-    # bridge ({3, 4, 5} here) falls short
+    # a check costs min(k, nodes - 1) rounds, feasible or not, so a huge k cannot
+    # hang; the first round starts from the community masks, so it is not a grow call
     inst = oracle._instance((1, 2, 3))
     grow = oracle._Instance.grow
     calls = 0
@@ -373,7 +373,7 @@ def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     assert calls == inst.node_count - 2
     calls = 0
     assert not inst.is_k_integrated([(0, 1)], 10**9)
-    assert calls == inst.node_count - 3
+    assert calls == inst.node_count - 2
     calls = 0
     inst.leaf_rule([(0, 1)], 10**9)
     assert calls == inst.node_count - 1
@@ -406,6 +406,14 @@ def test_witness_is_feasible_and_minimal_by_one_less():
     for drop in verdict.witness:
         rest = [e for e in verdict.witness if e != drop]
         assert not naive.is_k_integrated(6, base + rest, 2)
+
+
+def test_sizes_may_be_any_iterable():
+    # the sizes are read once, so a generator is not used up by their validation
+    verdict = min_bridges_for_sizes((3, 2), 2)
+    assert min_bridges_for_sizes([3, 2], 2) == verdict
+    assert min_bridges_for_sizes((s for s in (3, 2)), 2) == verdict
+    assert min_bridges_for_sizes(iter([2, 2]), 2) == min_bridges_for_sizes((2, 2), 2)
 
 
 def test_validation_errors():

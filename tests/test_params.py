@@ -60,7 +60,7 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["below", "minus-one", 1.5, "2", None], ids=repr)
+@pytest.mark.parametrize("bad", ["below", "minus-one", 1.5, "2", None, True], ids=repr)
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_entry_points_reject_bad_integers(case, bad):
     func, args, minimum = _CASES[case]

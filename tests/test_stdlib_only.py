@@ -1,10 +1,14 @@
 """The package runs on the standard library alone."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kintegration"
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -28,6 +32,22 @@ def test_every_import_is_the_package_or_the_standard_library():
         if root != "kintegration" and root not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, so grammar newer than 3.10 must not creep in
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', PYPROJECT.read_text(encoding="utf-8"))
+    assert floor is not None
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor.group(1))))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="except* needs a 3.11 parser")
+def test_the_floor_parse_refuses_newer_grammar():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
 
 
 def test_the_import_scan_sees_absolute_relative_and_nested_imports(tmp_path):
