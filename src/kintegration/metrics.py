@@ -60,7 +60,7 @@ class IntegrationReport:
 
 
 def _check_source(g: CommunityGraph, source: int) -> None:
-    if not isinstance(source, int) or not 0 <= source < g.node_count:
+    if not isinstance(source, int) or isinstance(source, bool) or not 0 <= source < g.node_count:
         raise InvalidNodeError(source)
 
 

@@ -26,12 +26,16 @@ the community masks plus each bridge's ends, and each further round
 gives a community's members the union of its balls (a community is a
 clique), then each bridge adds its partner's old ball, up to
 min(k, nodes - 1) rounds; the set is k-integrated when every k-ball is
-full.  A leaf P + (u, v) is decided from its parent's balls: a bridge
-with both ends beyond k - 1 hops of a source brings nothing within k
-hops of it, so the leaf is refuted when such a source's k-ball in P is
-not full.  Balls are symmetric, so for each u only the v near its first
-such source are tested, and those that pass get a full check.  By the
-same proof a source short in an ancestor and beyond k - 1 hops of every
+full.  A leaf P + (u, v) is decided from its parent's ball layers, the
+i-balls for i = 0..k: a bridge with both ends beyond k - 1 hops of a
+source brings nothing within k hops of it, so the leaf is refuted when
+such a source's k-ball in P is not full.  Balls are symmetric, so for
+each u only the v near its first such source are tested.  Those that
+pass are decided exactly: a shortest path uses the new bridge at most
+once, so a source s short in P gains v's (k - 1 - d(s, u))-ball and u's
+(k - 1 - d(s, v))-ball, where d(s, u) is the first layer in which u's
+ball holds s (Ausiello et al., J. Algorithms 1991).  As in the
+refutation, a source short in an ancestor and beyond k - 1 hops of every
 bridge end added since stays short, so each node hands its children its
 rule with the new ends' balls taken out.
 When such a source's whole (k - 1)-ball lies below the node's first u,
@@ -65,7 +69,8 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from itertools import compress, repeat
+from operator import and_, ne, or_
 
 from .constructions import complete_quotient, extended_star, star_quotient, two_star
 from .errors import InvalidParamsError, require_int
@@ -77,6 +82,9 @@ DEFAULT_BUDGET = 2_000_000
 MAX_CROSS_PAIRS = 100_000
 
 log = logging.getLogger(__name__)
+
+# a bridge set's (k-1)-balls, its sources whose k-ball is not full and its ball layers
+Rule = tuple[list[int], int, list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,7 @@ class _Instance:
     def __init__(self, sizes: tuple[int, ...]) -> None:
         self.node_count = sum(sizes)
         self.full_mask = (1 << self.node_count) - 1
+        self.bits = [1 << x for x in range(self.node_count)]  # the 0-balls
         self.spans: list[tuple[int, int]] = []
         self.opens: list[int] = []
         self.base = 0
@@ -155,21 +164,26 @@ class _Instance:
             grown[v] |= balls[u]
         return grown
 
-    def balls(self, edges, radius: int) -> list[int]:
-        """Bitset of the nodes within ``radius`` of each node; none grows past node_count - 1."""
-        if radius == 0:
-            return [1 << u for u in range(self.node_count)]
-        balls = self.community[:]
-        for u, v in edges:
-            balls[u] |= 1 << v
-            balls[v] |= 1 << u
-        for _ in range(min(radius - 1, self.node_count - 2)):
-            balls = self.grow(balls, edges)
-        return balls
+    def layers(self, edges, radius: int) -> list[list[int]]:
+        """Bitsets of the nodes within i of each node, for i = 0..min(radius, node_count - 1).
+
+        No ball grows past node_count - 1, so a wider one equals the last.
+        """
+        bits = self.bits
+        layers = [bits]
+        if radius:
+            balls = self.community[:]
+            for u, v in edges:
+                balls[u] |= bits[v]
+                balls[v] |= bits[u]
+            layers.append(balls)
+            for _ in range(min(radius, self.node_count - 1) - 1):
+                layers.append(self.grow(layers[-1], edges))
+        return layers
 
     def is_k_integrated(self, edges, k: int) -> bool:
         """True iff every pair of nodes is within distance k."""
-        return reduce(and_, self.balls(edges, k)) == self.full_mask
+        return reduce(and_, self.layers(edges, k)[-1]) == self.full_mask
 
     def children(self, start_idx: int, open_: int, left: int):
         """(idx, u, v, open mask) of each child the gates admit below a node ``left`` bridges short."""
@@ -214,17 +228,38 @@ class _Instance:
             allowed |= self.community[lo] & ((1 << slots) - 1) << lo
         return [(u, v) for u, v in self.universe[start_idx:] if allowed >> u & allowed >> v & 1]
 
-    def leaf_rule(self, edges, k: int) -> tuple[list[int], int]:
-        """The (k-1)-balls and the sources whose k-ball is not full.
+    def leaf_rule(self, edges, k: int) -> Rule:
+        """The (k-1)-balls, the sources whose k-ball is not full and the ball layers of ``edges``.
 
-        ``short & ~(near[u] | near[v])`` non-zero proves edges + (u, v) is not k-integrated.
+        ``short & ~(near[u] | near[v])`` non-zero proves edges + (u, v) is not
+        k-integrated; ``is_k_integrated_with`` decides it exactly.
         """
-        near = self.balls(edges, k - 1)
-        short = 0
-        for s, ball in enumerate(self.grow(near, edges)):
+        layers = self.layers(edges, k)
+        short = sum(compress(self.bits, map(ne, layers[-1], repeat(self.full_mask))))
+        return layers[min(k - 1, len(layers) - 1)], short, layers
+
+    def is_k_integrated_with(self, rule: Rule, k: int, u: int, v: int) -> bool:
+        """True iff the set behind ``rule`` plus the bridge (u, v) is k-integrated.
+
+        A shortest path uses the new bridge at most once, so a short source s
+        gains v's (k - 1 - d(s, u))-ball and u's (k - 1 - d(s, v))-ball; balls
+        are symmetric, so d(s, u) is the first layer in which u's ball holds s.
+        """
+        _, short, layers = rule
+        last = len(layers) - 1
+        hops = range(min(k, last + 1))
+        while short:
+            low = short & -short
+            short ^= low
+            ball = layers[last][low.bit_length() - 1]
+            for a, b in (u, v), (v, u):
+                for i in hops:
+                    if layers[i][a] & low:
+                        ball |= layers[min(k - 1 - i, last)][b]
+                        break
             if ball != self.full_mask:
-                short |= 1 << s
-        return near, short
+                return False
+        return True
 
 
 def _check_size(communities: int, nodes: int, pairs: int) -> None:
@@ -263,6 +298,10 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     sorted profile; witness node ids refer to that layout.  ``sizes`` is
     read once, so any iterable will do.
     """
+    try:
+        sizes = iter(sizes)
+    except TypeError:
+        raise InvalidParamsError(f"sizes must be an iterable of community sizes, got {sizes!r}") from None
     sizes = tuple(sizes)
     if not sizes:
         raise InvalidParamsError("need at least one community")
@@ -315,7 +354,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     for m in range(start, last + 1):
         found: tuple[Edge, ...] | None = None
         budget_hit = False
-        before, checked, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
+        before, decided, parents, grown, began = examined, 0, 0, 0, time.perf_counter()
         wholes = held = completed = 0
 
         def extend(start_idx: int, open_: int, chosen: tuple[Edge, ...], ends: int, near: list[int], short: int) -> bool:
@@ -326,7 +365,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
             with balls ``near`` and beyond k - 1 hops of every bridge added
             since, so they are short here.
             """
-            nonlocal examined, found, budget_hit, checked, parents, grown, wholes, held, completed
+            nonlocal examined, found, budget_hit, decided, parents, grown, wholes, held, completed
             left = m - len(chosen)
             parents += left == 1
             u0 = universe[start_idx][0]
@@ -335,7 +374,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                 whole = not inst.is_k_integrated((*chosen, *inst.completion(start_idx, ends, left)), k)
                 completed += whole
             if not whole and 1 < left < 4:
-                near, short = inst.leaf_rule(chosen, k)
+                near, short, _ = inst.leaf_rule(chosen, k)
                 whole = refutes_all(near, short, u0)
             if whole:
                 # every leaf below keeps that source short, or adds only pairs of a completion that is not
@@ -351,13 +390,14 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                               short & ~near[u] & ~near[v]):
                         return True
                 return False
-            # the leaves, one u at a time, all counted; this node grows balls only for a leaf the inherited rule leaves open
+            # the leaves, one u at a time, all counted; this node grows its rule only for a leaf the inherited rule
+            # leaves open, and decides that leaf from the rule's layers
             own = None
             for u, vs in inst.leaves(start_idx, open_):
                 survivors = unrefuted(near, short, u, vs)
                 if survivors and own is None:
                     own, grown = inst.leaf_rule(chosen, k), grown + 1
-                survivors = survivors and unrefuted(*own, u, survivors)
+                survivors = survivors and unrefuted(own[0], own[1], u, survivors)
                 while survivors:
                     low = survivors & -survivors
                     survivors ^= low
@@ -365,8 +405,8 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                     position = examined + (vs & (low - 1)).bit_count() + 1
                     if position > budget:
                         break  # the count after this u passes the budget too
-                    checked += 1
-                    if inst.is_k_integrated((*chosen, (u, v)), k):
+                    decided += 1
+                    if inst.is_k_integrated_with(own, k, u, v):
                         examined, found = position, (*chosen, (u, v))
                         return True
                 examined += vs.bit_count()
@@ -378,9 +418,10 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         extend(0, inst.base, (), 0, inst.community, 0)  # above three bridges short no source is known short
         sets = examined - before
         rate = sets / max(time.perf_counter() - began, 1e-9)
-        log.info("size %d: %d sets, %d refuted without a check, %d checked in full, %d subtrees refuted whole holding %d sets, "
-                 "%d of them by their completion, %d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
-                 m, sets, sets - checked, checked, wholes, held, completed, grown, parents, rate, examined, budget)
+        log.info("size %d: %d sets, %d refuted without a check, %d decided from the ball layers, "
+                 "%d subtrees refuted whole holding %d sets, %d of them by their completion, "
+                 "%d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
+                 m, sets, sets - decided, decided, wholes, held, completed, grown, parents, rate, examined, budget)
         if found is not None:
             return OracleVerdict(ordered, m, found, examined, m - 1)
         if budget_hit:
@@ -413,10 +454,12 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     a fresh table, and the starting set's table serves every trial.  A
     swap (e_out, e_in) is refuted in O(1) by the current set's rule for
     e_out, when a short source lies beyond k - 1 hops of both ends of
-    e_in; only the swaps it leaves open get a full check.  The returned
-    set is always verified feasible, so the bound is sound even though it
-    may not be tight.  The RNG draws are fixed by the seed, so a seed
-    names one witness.
+    e_in; the swaps it leaves open are decided exactly from that rule's
+    ball layers, and after an accepted swap the prune keeps at once an
+    edge whose rule in the old set refutes e_in too.  The returned set is
+    always feasible, so the bound is sound even though it may not be
+    tight.  The RNG draws are fixed by the seed, so a seed names one
+    witness.
     """
     require_int("r", r, 1)
     require_int("n", n, 1)
@@ -438,22 +481,32 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     rng = random.Random(seed)
     universe = inst.universe
     floor = r - 1  # connectivity needs at least r-1 bridges
-    refuted = checked = grown = 0
+    refuted = decided = grown = 0
 
-    def rule(edges: frozenset[Edge], table: dict, e: Edge) -> tuple[list[int], int]:
+    def rule(edges: frozenset[Edge], table: dict, e: Edge) -> Rule:
         """The leaf rule of ``edges`` without e, read from the table of ``edges`` or grown into it."""
         nonlocal grown
         if e not in table:
             table[e], grown = inst.leaf_rule(edges - {e}, k), grown + 1
         return table[e]
 
-    def prune(edges: frozenset[Edge], table: dict) -> tuple[frozenset[Edge], dict]:
-        """``edges`` with edges dropped in random order while it stays k-integrated, and its table."""
+    def prune(edges: frozenset[Edge], table: dict, before: dict,
+              added: Edge | None = None) -> tuple[frozenset[Edge], dict]:
+        """``edges`` with edges dropped in random order while it stays k-integrated, and its table.
+
+        ``before`` is the table of a set S with ``edges`` inside S + ``added``: an edge e
+        it holds a rule for stays, with no rule grown, when that rule refutes
+        (S - e) + ``added``, which holds every set the prune tries without e.
+        """
         order = sorted(edges)
         rng.shuffle(order)
         for e in order:
             if len(edges) <= floor:
                 break
+            if e in before:
+                near, short, _ = before[e]
+                if short & ~(near[added[0]] | near[added[1]]):
+                    continue
             if not rule(edges, table, e)[1]:
                 edges, table = edges - {e}, {}
         return edges, table
@@ -466,7 +519,7 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     initial_table: dict = {}
     best = tuple(sorted(initial))
     for _ in range(trials):
-        current, table = prune(initial, initial_table)
+        current, table = prune(initial, initial_table, {})
         ordered, gaps = drawing(current)
         for _ in range(max(10, 2 * len(current))):
             if len(current) <= floor:
@@ -478,20 +531,19 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
             # i plus the used pairs with at most i unused pairs below them
             i = rng.choice(range(len(universe) - len(ordered)))
             e_in = u, v = universe[i + bisect_right(gaps, i)]
-            near, short = rule(current, table, e_out)
+            without = near, short, _ = rule(current, table, e_out)
             if short & ~(near[u] | near[v]):
                 refuted += 1
                 continue
-            checked += 1
-            candidate = current - {e_out} | {e_in}
-            if inst.is_k_integrated(candidate, k):
-                current, table = prune(candidate, {})
+            decided += 1
+            if inst.is_k_integrated_with(without, k, u, v):
+                current, table = prune(current - {e_out} | {e_in}, {}, table, e_in)
                 ordered, gaps = drawing(current)
         if len(current) < len(best):
             best = tuple(sorted(current))
-    log.info("randomized r %d n %d k %d: %d trials, %d swaps drawn, %d refuted by a leaf rule, %d checked in full, "
-             "%d leaf rules grown, best %d bridges", r, n, k, trials, refuted + checked, refuted, checked, grown,
-             len(best))
+    log.info("randomized r %d n %d k %d: %d trials, %d swaps drawn, %d refuted by a leaf rule, "
+             "%d decided from the ball layers, %d leaf rules grown, best %d bridges",
+             r, n, k, trials, refuted + decided, refuted, decided, grown, len(best))
     return best
 
 

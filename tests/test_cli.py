@@ -219,16 +219,16 @@ def test_certify_logs_one_progress_line_per_size_at_info(capsys, caplog):
     code, out, err = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2"])
     assert code == 0 and err == ""
     (row,) = json.loads(out)["rows"]
-    pattern = (r"size (\d+): (\d+) sets, (\d+) refuted without a check, (\d+) checked in full, "
+    pattern = (r"size (\d+): (\d+) sets, (\d+) refuted without a check, (\d+) decided from the ball layers, "
                r"(\d+) subtrees refuted whole holding (\d+) sets, (\d+) of them by their completion, "
                r"(\d+) of (\d+) parents grew their own balls, \d+ sets/s, budget (\d+) of 2000000 used")
     passes = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
-    sizes, sets, refuted, checked, wholes, held, completed, grown, parents, used = zip(*passes)
+    sizes, sets, refuted, decided, wholes, held, completed, grown, parents, used = zip(*passes)
     assert list(sizes) == list(range(2, row["min_bridges"] + 1))
     assert sum(sets) == row["sets_examined"]
-    assert all(s == r + c for s, r, c in zip(sets, refuted, checked))
+    assert all(s == r + c for s, r, c in zip(sets, refuted, decided))
     assert sum(refuted) > 0
-    # a subtree refuted whole has its sets counted, none checked
+    # a subtree refuted whole has its sets counted, none decided from the layers
     assert all(h <= r for h, r in zip(held, refuted))
     assert sum(wholes) > 0
     # some of those subtrees are refuted by their completion, and only those count here
@@ -248,12 +248,12 @@ def test_randomized_certify_logs_one_line_per_row_at_info(capsys, caplog):
     assert code == 0 and err == ""
     rows = json.loads(out)["rows"]
     pattern = (r"randomized r 3 n 3 k (\d+): 4 trials, (\d+) swaps drawn, (\d+) refuted by a leaf rule, "
-               r"(\d+) checked in full, (\d+) leaf rules grown, best (\d+) bridges")
+               r"(\d+) decided from the ball layers, (\d+) leaf rules grown, best (\d+) bridges")
     lines = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
     assert [line[0] for line in lines] == [2, 3]
-    for (_, drawn, refuted, checked, grown, best), row in zip(lines, rows):
-        # every swap drawn is refuted by a leaf rule or checked in full
-        assert drawn == refuted + checked and refuted > 0
+    for (_, drawn, refuted, decided, grown, best), row in zip(lines, rows):
+        # every swap drawn is refuted by a leaf rule or decided from its ball layers
+        assert drawn == refuted + decided and refuted > 0
         assert grown > 0
         assert best == len(row["witness"])
 

@@ -54,6 +54,15 @@ def test_bounded_bfs_validates_arguments(sample_graph):
         bounded_bfs(sample_graph, 0, -1)
 
 
+@pytest.mark.parametrize("source", [99, -1, 1.0, "0", None, True, False], ids=repr)
+def test_bad_sources_are_refused(sample_graph, source):
+    # a bool is an int, but not a node id: True would answer for node 1
+    with pytest.raises(InvalidNodeError):
+        bounded_bfs(sample_graph, source, 2)
+    with pytest.raises(InvalidNodeError):
+        eccentricity(sample_graph, source)
+
+
 def test_eccentricity_sample(sample_graph):
     id_of = {t: i for i, t in enumerate(sample_graph.tokens)}
     assert eccentricity(sample_graph, id_of["01"]) == 5

@@ -1,5 +1,7 @@
 import itertools
+import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -168,7 +170,7 @@ def test_ball_kernel_matches_naive(case, k, data):
 def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
     sizes, universe, bridges = case
     u, v = data.draw(st.sampled_from(universe))
-    near, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    near, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
     if short & ~(near[u] | near[v]):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
 
@@ -180,8 +182,21 @@ def test_leaf_rule_has_no_short_source_exactly_when_k_integrated(case, data):
     # k runs past node_count - 1, where the rounds stop
     sizes, _, bridges = case
     k = data.draw(st.integers(1, sum(sizes) + 2))
-    _, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    _, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
     assert (short == 0) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
+
+
+@given(profile_and_bridges(max_r=4, max_size=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_k_integrated_with_decides_one_more_bridge_exactly(case, data):
+    # the search decides every leaf, and the randomized search every swap, that the leaf rule leaves
+    # open this way; the pair may already be a bridge, and k runs past node_count - 1, where the layers stop
+    sizes, universe, bridges = case
+    k = data.draw(st.integers(1, sum(sizes) + 2))
+    u, v = data.draw(st.sampled_from(universe))
+    inst = oracle._instance(sizes)
+    expected = naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
+    assert inst.is_k_integrated_with(inst.leaf_rule(bridges, k), k, u, v) == expected
 
 
 @given(profile_and_bridges(max_r=4, max_size=3), st.integers(1, 4), st.data())
@@ -191,11 +206,11 @@ def test_grandparent_rule_refutes_only_infeasible_sets(case, k, data):
     sizes, universe, bridges = case
     (a, b), (u, v) = data.draw(st.lists(st.sampled_from(universe), min_size=2, max_size=2))
     inst = oracle._instance(sizes)
-    near, short = inst.leaf_rule(bridges, k)
+    near, short, _ = inst.leaf_rule(bridges, k)
     if short & ~near[a] & ~near[b] & ~(near[u] | near[v]):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(a, b), (u, v)], k)
-        # the child's own balls refute the leaf too, so the rule does not change which leaves are checked in full
-        near, short = inst.leaf_rule(bridges + [(a, b)], k)
+        # the child's own balls refute the leaf too, so the rule does not change which leaves are decided from the layers
+        near, short, _ = inst.leaf_rule(bridges + [(a, b)], k)
         assert short & ~(near[u] | near[v])
 
 
@@ -206,7 +221,7 @@ def test_subtree_rule_refutes_only_infeasible_sets(case, k, data):
     # bridges with both ends >= u0, so the search counts that subtree's leaves without walking it
     sizes, universe, bridges = case
     u0 = universe[data.draw(st.integers(0, len(universe) - 1))][0]
-    near, short = oracle._instance(sizes).leaf_rule(bridges, k)
+    near, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
     if any(short >> s & 1 and not near[s] >> u0 for s in range(sum(sizes))):
         added = data.draw(st.lists(st.sampled_from([e for e in universe if e[0] >= u0]), unique=True))
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + added, k)
@@ -253,21 +268,23 @@ def test_leaf_count_matches_a_plain_walk(sizes):
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
-    """Counts of the ``leaf_rule`` and ``is_k_integrated`` calls made from now on, kept current."""
-    calls = {"leaf_rule": 0, "is_k_integrated": 0}
+    """Counts of the kernel calls made from now on, kept current."""
+    calls = {"leaf_rule": 0, "is_k_integrated_with": 0, "is_k_integrated": 0}
     for name in calls:
         method = getattr(oracle._Instance, name)
 
-        def counting(self, edges, k, name=name, method=method):
+        def counting(self, *args, name=name, method=method):
             calls[name] += 1
-            return method(self, edges, k)
+            return method(self, *args)
 
         monkeypatch.setattr(oracle._Instance, name, counting)
     return calls
 
 
-# leaf_rule calls (every level's together), full checks and completion tests on the
-# benchmark's rows; every completion test is one more is_k_integrated call.  Without
+# leaf_rule calls (every level's together), leaves decided from a rule's layers and
+# completion tests on the benchmark's rows; every completion test is one
+# is_k_integrated call.  Before the layers decided a leaf, each was one more
+# is_k_integrated call: 538 + 1,306, 1,216 + 179 and 0 + 340 calls.  Without
 # the grandparent rule every parent grew its own balls, 21,760, 2,549 and 27,210
 # calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; before subtrees
 # were refuted by their completion 8,516/1,618, 1,964/1,721 and 6,493/0 calls and
@@ -281,8 +298,8 @@ LEAF_WORK = [
 ]
 
 
-@pytest.mark.parametrize("sizes,k,budget,rules,checks,tests", LEAF_WORK)
-def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks, tests):
+@pytest.mark.parametrize("sizes,k,budget,rules,decided,tests", LEAF_WORK)
+def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, decided, tests):
     calls = _count_kernel_calls(monkeypatch)
     calls["completion"] = 0
     completion = oracle._Instance.completion
@@ -293,7 +310,40 @@ def test_leaf_work_is_pinned(monkeypatch, sizes, k, budget, rules, checks, tests
 
     monkeypatch.setattr(oracle._Instance, "completion", counting_tests)
     min_bridges_for_sizes(sizes, k, budget or oracle.DEFAULT_BUDGET)
-    assert calls == {"leaf_rule": rules, "is_k_integrated": checks + tests, "completion": tests}
+    assert calls == {"leaf_rule": rules, "is_k_integrated_with": decided, "is_k_integrated": tests,
+                     "completion": tests}
+
+
+# the per-size INFO counts of the benchmark's certified rows, sets/s left out: size, sets,
+# refuted without a check, decided from the ball layers, subtrees refuted whole and the sets
+# they held, those refuted by their completion, parents that grew their own balls and parents
+# reached, budget used and budget.  A change to what the search decides shows here even when
+# the verdict and the sets examined stay the same
+INFO_COUNTS = {
+    ((4, 4, 4), 2): [
+        (2, 7, 7, 0, 1, 7, 1, 0, 0, 7, 2_000_000),
+        (3, 49, 49, 0, 1, 49, 1, 0, 0, 56, 2_000_000),
+        (4, 367, 367, 0, 7, 367, 5, 0, 0, 423, 2_000_000),
+        (5, 2_706, 2_706, 0, 36, 2_587, 19, 8, 14, 3_129, 2_000_000),
+        (6, 18_815, 18_805, 10, 399, 15_744, 106, 196, 404, 21_944, 2_000_000),
+        (7, 121_389, 120_862, 527, 3_728, 92_134, 655, 1_957, 4_424, 143_333, 2_000_000),
+        (8, 1, 0, 1, 0, 0, 0, 1, 1, 143_334, 2_000_000),
+    ],
+    ((4, 4, 4, 4), 3): [
+        (3, 75, 73, 2, 2, 10, 0, 6, 8, 75, 2_000_000),
+        (4, 774, 752, 22, 13, 151, 1, 48, 58, 849, 2_000_000),
+        (5, 8_144, 7_855, 289, 104, 2_307, 20, 408, 482, 8_993, 2_000_000),
+        (6, 20_469, 19_566, 903, 215, 4_840, 40, 945, 1_105, 29_462, 2_000_000),
+    ],
+}
+
+
+@pytest.mark.parametrize("sizes,k", sorted(INFO_COUNTS))
+def test_info_counts_are_pinned(caplog, sizes, k):
+    caplog.set_level(logging.INFO, logger="kintegration.oracle")
+    min_bridges_for_sizes(sizes, k)
+    messages = [re.sub(r", \d+ sets/s", "", record.getMessage()) for record in caplog.records]
+    assert [tuple(map(int, re.findall(r"\d+", message))) for message in messages] == INFO_COUNTS[sizes, k]
 
 
 def _search_nodes(sizes, m):
@@ -375,8 +425,10 @@ def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     assert not inst.is_k_integrated([(0, 1)], 10**9)
     assert calls == inst.node_count - 2
     calls = 0
-    inst.leaf_rule([(0, 1)], 10**9)
-    assert calls == inst.node_count - 1
+    # the leaf rule reads its short sources off the same last layer, so it grows no further
+    near, _, layers = inst.leaf_rule([(0, 1)], 10**9)
+    assert calls == inst.node_count - 2
+    assert len(layers) == inst.node_count and near is layers[-1]
 
 
 def test_certified_minima_match_threshold_table():
@@ -423,6 +475,8 @@ def test_validation_errors():
         min_bridges_exhaustive(2, 2, 0)
     with pytest.raises(InvalidParamsError):
         min_bridges_for_sizes((), 2)
+    with pytest.raises(InvalidParamsError, match="iterable"):
+        min_bridges_for_sizes(5, 2)
     with pytest.raises(InvalidParamsError):
         min_bridges_for_sizes((2, 2), 2, budget=0)
     with pytest.raises(InvalidParamsError):
@@ -484,18 +538,20 @@ def test_randomized_matches_plain_shuffle_and_prune(r, n, extra, seed, trials):
     assert min_bridges_randomized(r, n, k, trials=trials, seed=seed) == expected
 
 
-# leaf_rule and is_k_integrated calls of the 20-trial seed-1 rows; on (6, 1, 3) prunes drop edges
-# of the starting set, each removal starting a fresh table.  Before each bridge set kept a table of
-# leaf rules, every prune step and every swap was a full check: 0/3,361 and 0/2,745 calls on the
-# (8, 8) rows
-RANDOMIZED_WORK = [(8, 8, 2, 56, 1), (8, 8, 3, 1_092, 230), (6, 1, 3, 315, 19)]
+# leaf_rule, is_k_integrated_with and is_k_integrated calls of the 20-trial seed-1 rows; on (6, 1, 3) prunes drop
+# edges of the starting set, each removal starting a fresh table.  The one is_k_integrated call
+# checks the starting set.  Before the layers decided a swap and the prune after a swap read the old
+# set's table, each open swap was an is_k_integrated call: 56/1, 1,092/230 and 315/19 leaf rules
+# and checks.  Before each bridge set kept a table of leaf rules, every prune step and every swap
+# was a full check: 0/3,361 and 0/2,745 calls on the (8, 8) rows
+RANDOMIZED_WORK = [(8, 8, 2, 56, 0), (8, 8, 3, 713, 229), (6, 1, 3, 306, 18)]
 
 
-@pytest.mark.parametrize("r,n,k,rules,checks", RANDOMIZED_WORK)
-def test_randomized_work_is_pinned(monkeypatch, r, n, k, rules, checks):
+@pytest.mark.parametrize("r,n,k,rules,decided", RANDOMIZED_WORK)
+def test_randomized_work_is_pinned(monkeypatch, r, n, k, rules, decided):
     calls = _count_kernel_calls(monkeypatch)
     min_bridges_randomized(r, n, k, trials=20, seed=1)
-    assert calls == {"leaf_rule": rules, "is_k_integrated": checks}
+    assert calls == {"leaf_rule": rules, "is_k_integrated_with": decided, "is_k_integrated": 1}
 
 
 def test_randomized_k1_and_r1():
