@@ -1,9 +1,12 @@
 """Digests of what every subcommand prints and writes, for a fixed corpus of requests.
 
 Each request runs in-process through ``cli.main`` in a fresh temporary
-directory, with relative paths so no digest depends on where it ran. Its
-entry holds the exit code and the sha256 of stdout, stderr and every file
-it wrote. The oracle grid's entries hold the minimum, witness, sets
+directory, with relative paths so no digest depends on where it ran, and
+with any size limit it names shrunk for that one call. Its entry holds
+the exit code and the sha256 of stdout, stderr and every file it wrote.
+``analyze`` reads the sample, a seeded input, a few edge cases, one small
+network of each ``generate`` family and quotient kind, and inputs it
+refuses. The oracle grid's entries hold the minimum, witness, sets
 examined and exhausted size of ``oracle.min_bridges_for_sizes`` for every
 sorted profile of 2 to 4 communities of 1 to 4 nodes, at each k from 1 to
 r + 1 and a budget of ``GRID_BUDGET``, so the budget's exact stopping point
@@ -30,8 +33,9 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from kintegration import cli, oracle
+from kintegration import cli, constructions, fileio, graph, metrics, oracle
 
 MANIFEST = Path(__file__).with_name("cli_manifest.json")
 DATA_DIR = Path(__file__).with_name("data")
@@ -70,6 +74,25 @@ ONE_COMMUNITY = {
 DISCONNECTED = {
     "edges.txt": "a1 a2\na1 a3\na2 a3\nb1 b2\nb1 b3\nb2 b3\n",
     "communities.txt": "a1 A\na2 A\na3 A\nb1 B\nb2 B\nb3 B\n",
+}
+
+# one small network of each generate family and quotient kind, written as generate writes it
+GENERATED = [
+    ("complete-join", 3, 2),
+    ("two-star", 3, 2),
+    *[("extended-star", 3, 2, quotient) for quotient in ("complete", "star", "path", "cycle")],
+    ("extended-star", 8, 1, "figure1:5"),
+]
+
+# inputs that analyze refuses, each with a one-line error
+REFUSED_INPUTS = {
+    "missing file": {"edges.txt": SAMPLE["edges.txt"]},
+    "non-utf-8 bytes": {"edges.txt": b"a b\n\xff c\n", "communities.txt": "a A\nb A\nc A\n"},
+    "three-token line": {"edges.txt": "a b\na b c\n", "communities.txt": "a A\nb A\nc A\n"},
+    "self-loop": {"edges.txt": "a b\nb b\n", "communities.txt": "a A\nb A\n"},
+    "unknown node": {"edges.txt": "a b\nb z\n", "communities.txt": "a A\nb A\n"},
+    "empty community map": {"edges.txt": "a b\n", "communities.txt": "# no nodes\n"},
+    "duplicate assignment": {"edges.txt": "a b\n", "communities.txt": "a A\nb A\na B\n"},
 }
 
 FORMATS = ("json", "csv", "text")
@@ -135,18 +158,38 @@ def _analyze_requests() -> list[list[str]]:
     ] + [["analyze", *ANALYZE_FILES, "--localize", "--strict-model"]]
 
 
-def corpus() -> dict[str, tuple[dict[str, str], list[str]]]:
-    """Each request's key, its input files and its argv."""
+def _generated(family: str, r: int, n: int, *quotient: str) -> dict[str, str]:
+    """The edge list and community map ``generate`` writes for one construction."""
+    g = cli.build_construction(family, r, n, *quotient).graph
+    return {"edges.txt": "".join(fileio.format_edge_list(g)),
+            "communities.txt": "".join(fileio.format_community_map(g))}
+
+
+def corpus() -> dict[str, tuple[dict[str, str | bytes], list[str], tuple]]:
+    """Each request's key, its input files, its argv and the (module, name, value) limits it shrinks."""
     argvs = _generate_requests() + _certify_requests() + _thresholds_requests()
-    entries = {" ".join(argv): ({}, argv) for argv in argvs}
+    entries = {" ".join(argv): ({}, argv, ()) for argv in argvs}
     for name, inputs in (("sample", SAMPLE), ("random", _random_input())):
         for argv in _analyze_requests():
-            entries[f"{name}: {' '.join(argv)}"] = (inputs, argv)
-    for name, inputs, ks in (("sample", SAMPLE, ["--k", "4,5"]), ("one-community", ONE_COMMUNITY, []),
-                             ("disconnected", DISCONNECTED, [])):
+            entries[f"{name}: {' '.join(argv)}"] = (inputs, argv, ())
+    inputs_with_ks = [("sample", SAMPLE, ["--k", "4,5"]), ("one-community", ONE_COMMUNITY, []),
+                      ("disconnected", DISCONNECTED, [])]
+    inputs_with_ks += [("generated " + " ".join(map(str, row)), _generated(*row), []) for row in GENERATED]
+    for name, inputs, ks in inputs_with_ks:
         for fmt in FORMATS:
             argv = ["analyze", *ANALYZE_FILES, *ks, "--format", fmt]
-            entries[f"{name}: {' '.join(argv)}"] = (inputs, argv)
+            entries[f"{name}: {' '.join(argv)}"] = (inputs, argv, ())
+    for name, inputs in REFUSED_INPUTS.items():
+        entries[f"{name}: analyze"] = (inputs, ["analyze", *ANALYZE_FILES], ())
+    limited = [
+        ("sample", SAMPLE, ["analyze", *ANALYZE_FILES], (metrics, "MAX_CLASSES", 3)),
+        ("random", _random_input(), ["analyze", *ANALYZE_FILES, "--localize"], (graph, "MAX_EDGES", 10)),
+        (None, {}, ["generate", "--family", "complete-join", "-r", "3", "-n", "2", "--out", "out"],
+         (constructions, "MAX_EDGES", 10)),
+    ]
+    for name, inputs, argv, (module, attr, value) in limited:
+        label = f"{name}, " if name else ""
+        entries[f"{label}{attr} {value}: {' '.join(argv)}"] = (inputs, argv, ((module, attr, value),))
     return entries
 
 
@@ -188,15 +231,20 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_request(inputs: dict[str, str], argv: list[str]) -> dict:
-    """The exit code and the digests of stdout, stderr and each written file of one CLI call."""
+def run_request(inputs: dict[str, str | bytes], argv: list[str], limits: tuple = ()) -> dict:
+    """The exit code and the digests of stdout, stderr and each written file of one CLI call.
+
+    Each (module, name, value) in ``limits`` is set for the call and restored after it.
+    """
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as patched:
         os.chdir(tmp)
         try:
             for name, text in inputs.items():
-                Path(name).write_text(text, encoding="utf-8")
+                Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
+            for module, name, value in limits:
+                patched.enter_context(mock.patch.object(module, name, value))
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             written = {
@@ -215,7 +263,7 @@ def run_request(inputs: dict[str, str], argv: list[str]) -> dict:
 
 
 def digests() -> dict[str, dict]:
-    current = {key: run_request(inputs, argv) for key, (inputs, argv) in corpus().items()}
+    current = {key: run_request(*request) for key, request in corpus().items()}
     current |= {key: run_oracle(sizes, k) for key, (sizes, k) in oracle_grid().items()}
     return current | {key: run_randomized(*row) for key, row in randomized_grid().items()}
 

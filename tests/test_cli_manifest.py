@@ -28,7 +28,7 @@ def test_corpus_covers_every_subcommand_and_format():
         formats = [action.choices for action in sub._actions if action.dest == "format"]
         declared |= {(name, fmt) for fmt in (formats[0] if formats else [None])}
     requested = set()
-    for _, argv in CORPUS.values():
+    for _, argv, _ in CORPUS.values():
         args = parser.parse_args(argv)
         requested.add((args.command, getattr(args, "format", None)))
     assert declared - requested == set()
@@ -36,8 +36,7 @@ def test_corpus_covers_every_subcommand_and_format():
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
 def test_request_matches_manifest(key):
-    inputs, argv = CORPUS[key]
-    assert run_request(inputs, argv) == PINNED[key]
+    assert run_request(*CORPUS[key]) == PINNED[key]
 
 
 @pytest.mark.parametrize("key", sorted(GRID))
