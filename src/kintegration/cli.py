@@ -227,7 +227,7 @@ def cmd_certify(
     mode: str = "exhaustive",
     budget: int = oracle.DEFAULT_BUDGET,
     seed: int = 0,
-    trials: int = 20,
+    trials: int = oracle.DEFAULT_TRIALS,
 ) -> tuple[dict, int]:
     """Returns (payload, exit code): 0 agree, 2 budget exhausted, 3 disagreement."""
     if mode not in {"exhaustive", "randomized"}:
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mode", choices=["exhaustive", "randomized"], default="exhaustive")
     pc.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="max candidate sets to examine")
     pc.add_argument("--seed", type=int, default=0, help="randomized mode RNG seed")
-    pc.add_argument("--trials", type=int, default=20, help="randomized mode restarts")
+    pc.add_argument("--trials", type=int, default=oracle.DEFAULT_TRIALS, help="randomized mode restarts")
     pc.add_argument("--format", choices=["json", "csv", "text"], default="json")
     pc.set_defaults(func=_run_certify)
 

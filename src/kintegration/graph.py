@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyCommunityMapError, KIntegrationError, SelfLoopError, UnknownNodeError
+from .errors import EmptyCommunityMapError, KIntegrationError, SelfLoopError, UnknownNodeError, require_int
 
 log = logging.getLogger(__name__)
 
@@ -211,6 +211,7 @@ def is_locally_complete(
     Returns (ok, missing) where missing lists up to ``max_witnesses``
     absent local pairs as witnesses.
     """
+    require_int("max_witnesses", max_witnesses, 1)
     missing: list[Edge] = []
     for members in g.community_members:
         for i, u in enumerate(members):

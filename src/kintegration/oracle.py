@@ -46,10 +46,12 @@ every later pair whose two ends sit below their community's bridged
 slots plus the bridges left.  Each community's bridged slots are a
 prefix and a bridge bridges at most one new node per community, so every
 leaf below lies inside the completion; a bridge never lengthens a path,
-so no leaf below is k-integrated.  Nodes two and three bridges short
-grow their own balls only when neither rule refutes their subtree, and a
-parent only for a leaf the inherited rule leaves open; the INFO line
-counts both, and the subtrees a completion refuted.
+so no leaf below is k-integrated.  The completion adds only pairs whose
+ends lie at or above the first u, so it refutes every subtree the
+inherited rule does: that rule is its cheap first check, and a parent's
+only one.  Nodes two and three bridges short grow their own balls for
+their children, and a parent only for a leaf the inherited rule leaves
+open; the INFO line counts both, and the subtrees a completion refuted.
 
 Candidate counts grow combinatorially, so the search takes a budget of
 leaves, refuted ones included: a parent counts each u's leaves by
@@ -78,6 +80,7 @@ from .graph import Edge
 from .thresholds import ThresholdRow, threshold_row
 
 DEFAULT_BUDGET = 2_000_000
+DEFAULT_TRIALS = 20
 # the cross pairs sit in one tuple, ~100 B a pair
 MAX_CROSS_PAIRS = 100_000
 
@@ -368,14 +371,10 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
             nonlocal examined, found, budget_hit, decided, parents, grown, wholes, held, completed
             left = m - len(chosen)
             parents += left == 1
-            u0 = universe[start_idx][0]
-            whole = refutes_all(near, short, u0)
+            whole = refutes_all(near, short, universe[start_idx][0])
             if not whole and left > 1:
                 whole = not inst.is_k_integrated((*chosen, *inst.completion(start_idx, ends, left)), k)
                 completed += whole
-            if not whole and 1 < left < 4:
-                near, short, _ = inst.leaf_rule(chosen, k)
-                whole = refutes_all(near, short, u0)
             if whole:
                 # every leaf below keeps that source short, or adds only pairs of a completion that is not
                 # k-integrated: count them, walk none
@@ -385,6 +384,8 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                 held, examined = held + count, examined + count
                 return budget_hit
             if left > 1:
+                if left < 4:
+                    near, short, _ = inst.leaf_rule(chosen, k)
                 for idx, u, v, child in inst.children(start_idx, open_, left):
                     if extend(idx + 1, child, (*chosen, (u, v)), ends | 1 << u | 1 << v, near,
                               short & ~near[u] & ~near[v]):
@@ -441,7 +442,7 @@ def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET)
     return min_bridges_for_sizes((n,) * r, k, budget=budget)
 
 
-def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int = 0) -> tuple[Edge, ...]:
+def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0) -> tuple[Edge, ...]:
     """A feasible bridge set found by shuffle-and-prune, sorted; its size bounds the minimum from above.
 
     Each trial starts from a known feasible set, removes edges in random
@@ -456,15 +457,16 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
     e_out, when a short source lies beyond k - 1 hops of both ends of
     e_in; the swaps it leaves open are decided exactly from that rule's
     ball layers, and after an accepted swap the prune keeps at once an
-    edge whose rule in the old set refutes e_in too.  The returned set is
-    always feasible, so the bound is sound even though it may not be
-    tight.  The RNG draws are fixed by the seed, so a seed names one
-    witness.
+    edge whose rule in the old set decides that adding e_in leaves it
+    short.  The returned set is always feasible, so the bound is sound
+    even though it may not be tight.  The RNG draws are fixed by the
+    seed (>= 0), so a seed names one witness.
     """
     require_int("r", r, 1)
     require_int("n", n, 1)
     require_int("k", k, 1)
     require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
     _check_equal_size(r, n)
     if r == 1 or k == 1:
         # the exact search settles both at once: no bridges, or every cross pair
@@ -495,18 +497,16 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
         """``edges`` with edges dropped in random order while it stays k-integrated, and its table.
 
         ``before`` is the table of a set S with ``edges`` inside S + ``added``: an edge e
-        it holds a rule for stays, with no rule grown, when that rule refutes
-        (S - e) + ``added``, which holds every set the prune tries without e.
+        it holds a rule for stays, with no rule grown, when (S - e) + ``added``,
+        which holds every set the prune tries without e, is not k-integrated.
         """
         order = sorted(edges)
         rng.shuffle(order)
         for e in order:
             if len(edges) <= floor:
                 break
-            if e in before:
-                near, short, _ = before[e]
-                if short & ~(near[added[0]] | near[added[1]]):
-                    continue
+            if e in before and not inst.is_k_integrated_with(before[e], k, *added):
+                continue
             if not rule(edges, table, e)[1]:
                 edges, table = edges - {e}, {}
         return edges, table
@@ -525,8 +525,6 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = 20, seed: int =
             if len(current) <= floor:
                 break
             e_out = rng.choice(ordered)
-            if len(ordered) == len(universe):
-                break
             # the i-th unused pair, drawn by the RNG call rng.choice(unused) makes:
             # i plus the used pairs with at most i unused pairs below them
             i = rng.choice(range(len(universe) - len(ordered)))

@@ -137,7 +137,8 @@ def _certify_requests() -> list[list[str]]:
         ["-r", "3", "-n", "3", "--k", "2", "--budget", "4"],
         ["-r", "3", "-n", "3", "--k", "2,3", "--mode", "randomized", "--seed", "1"],
     ]
-    refused = [["-r", "3", "-n", "2"], ["-r", "2", "-n", "2", "--budget", "0"]]
+    refused = [["-r", "3", "-n", "2"], ["-r", "2", "-n", "2", "--budget", "0"],
+               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--seed", "-1"]]
     return [["certify", *row, "--format", fmt] for row in rows for fmt in FORMATS] + [
         ["certify", *row] for row in refused
     ]
@@ -169,7 +170,8 @@ def corpus() -> dict[str, tuple[dict[str, str | bytes], list[str], tuple]]:
     """Each request's key, its input files, its argv and the (module, name, value) limits it shrinks."""
     argvs = _generate_requests() + _certify_requests() + _thresholds_requests()
     entries = {" ".join(argv): ({}, argv, ()) for argv in argvs}
-    for name, inputs in (("sample", SAMPLE), ("random", _random_input())):
+    random_input = _random_input()
+    for name, inputs in (("sample", SAMPLE), ("random", random_input)):
         for argv in _analyze_requests():
             entries[f"{name}: {' '.join(argv)}"] = (inputs, argv, ())
     inputs_with_ks = [("sample", SAMPLE, ["--k", "4,5"]), ("one-community", ONE_COMMUNITY, []),
@@ -183,7 +185,7 @@ def corpus() -> dict[str, tuple[dict[str, str | bytes], list[str], tuple]]:
         entries[f"{name}: analyze"] = (inputs, ["analyze", *ANALYZE_FILES], ())
     limited = [
         ("sample", SAMPLE, ["analyze", *ANALYZE_FILES], (metrics, "MAX_CLASSES", 3)),
-        ("random", _random_input(), ["analyze", *ANALYZE_FILES, "--localize"], (graph, "MAX_EDGES", 10)),
+        ("random", random_input, ["analyze", *ANALYZE_FILES, "--localize"], (graph, "MAX_EDGES", 10)),
         (None, {}, ["generate", "--family", "complete-join", "-r", "3", "-n", "2", "--out", "out"],
          (constructions, "MAX_EDGES", 10)),
     ]

@@ -227,6 +227,23 @@ def test_subtree_rule_refutes_only_infeasible_sets(case, k, data):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + added, k)
 
 
+@given(profile_and_bridges(max_r=4, max_size=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_source_with_its_ball_below_u0_stays_short_in_the_whole_suffix(case, data):
+    # why a node needs no rule of its own to refute its subtree: its completion lies inside P plus every
+    # pair from idx on, all with both ends >= u0, and a path from s reaches its first new end within
+    # k - 1 hops of s in P, so a source short in P whose whole (k - 1)-ball lies below u0 stays short
+    sizes, _, bridges = case
+    inst = oracle._instance(sizes)
+    k = data.draw(st.integers(1, inst.node_count + 1))
+    idx = data.draw(st.integers(0, len(inst.universe) - 1))
+    u0 = inst.universe[idx][0]
+    near, short, _ = inst.leaf_rule(bridges, k)
+    if any(short >> s & 1 and not near[s] >> u0 for s in range(u0)):
+        edges = naive.local_edges(sizes) + bridges + list(inst.universe[idx:])
+        assert not naive.is_k_integrated(inst.node_count, edges, k)
+
+
 def _gates(sizes):
     """Each node's gate, read off the symmetry rule: the previous slot, or slot 0 of an equal-size previous community."""
     gate, lo = {}, 0
@@ -540,11 +557,13 @@ def test_randomized_matches_plain_shuffle_and_prune(r, n, extra, seed, trials):
 
 # leaf_rule, is_k_integrated_with and is_k_integrated calls of the 20-trial seed-1 rows; on (6, 1, 3) prunes drop
 # edges of the starting set, each removal starting a fresh table.  The one is_k_integrated call
-# checks the starting set.  Before the layers decided a swap and the prune after a swap read the old
+# checks the starting set.  Before the prune after a swap decided each edge the old set's table holds
+# from that rule's layers, it kept only the edges the O(1) rule refutes: 56/0, 713/229 and 306/18.
+# Before the layers decided a swap and the prune after a swap read the old
 # set's table, each open swap was an is_k_integrated call: 56/1, 1,092/230 and 315/19 leaf rules
 # and checks.  Before each bridge set kept a table of leaf rules, every prune step and every swap
 # was a full check: 0/3,361 and 0/2,745 calls on the (8, 8) rows
-RANDOMIZED_WORK = [(8, 8, 2, 56, 0), (8, 8, 3, 713, 229), (6, 1, 3, 306, 18)]
+RANDOMIZED_WORK = [(8, 8, 2, 56, 0), (8, 8, 3, 663, 1_031), (6, 1, 3, 300, 49)]
 
 
 @pytest.mark.parametrize("r,n,k,rules,decided", RANDOMIZED_WORK)

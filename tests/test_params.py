@@ -13,6 +13,7 @@ from kintegration import (
     complete_quotient,
     extended_star,
     is_k_integrated,
+    is_locally_complete,
     min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
@@ -45,6 +46,7 @@ _CASES = {
     "QuotientGraph.edges.v": (QuotientGraph, lambda x: (3, ((1, x),)), 0),
     "bounded_bfs.k": (bounded_bfs, lambda x: (_G, 0, x), 0),
     "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 0),
+    "is_locally_complete.max_witnesses": (is_locally_complete, lambda x: (_G, x), 1),
     "build_report.ks": (build_report, lambda x: (_G, [1, x]), 0),
     "min_bridges_for_sizes.sizes": (min_bridges_for_sizes, lambda x: ((2, x), 2), 1),
     "min_bridges_for_sizes.k": (min_bridges_for_sizes, lambda x: ((2, 2), x), 1),
@@ -57,6 +59,7 @@ _CASES = {
     "min_bridges_randomized.n": (min_bridges_randomized, lambda x: (2, x, 2), 1),
     "min_bridges_randomized.k": (min_bridges_randomized, lambda x: (2, 2, x), 1),
     "min_bridges_randomized.trials": (min_bridges_randomized, lambda x: (2, 2, 2, x), 1),
+    "min_bridges_randomized.seed": (min_bridges_randomized, lambda x: (2, 2, 2, 1, x), 0),
 }
 
 
