@@ -27,7 +27,7 @@ from pathlib import Path
 from . import constructions, fileio, oracle, thresholds
 from . import graph as graphmod
 from . import metrics
-from .errors import InvalidParamsError, KIntegrationError, ModelViolationError
+from .errors import InvalidParamsError, KIntegrationError, ModelViolationError, require_int
 
 SCHEMA_VERSION = 1
 
@@ -232,6 +232,10 @@ def cmd_certify(
     """Returns (payload, exit code): 0 agree, 2 budget exhausted, 3 disagreement."""
     if mode not in {"exhaustive", "randomized"}:
         raise InvalidParamsError(f"unknown mode {mode!r}")
+    # both modes echo all three, so both refuse a bad one before any search
+    require_int("budget", budget, 1)
+    require_int("seed", seed, 0)
+    require_int("trials", trials, 1)
     rows = []
     for k in ks:
         # the table refuses a request it does not cover before any search runs

@@ -14,14 +14,19 @@ k holds exactly the classes within distance k. The rounds stop at
 closure, when one more round would change nothing. Two rounds of balls
 are alive at a time, about classes**2 / 8 bytes each, so a graph with
 more than MAX_CLASSES twin classes is refused before the first round.
-Only ``build_report`` turns the rounds into k*, which ``integration_level``
-and ``QuotientGraph.diameter`` read. Single-source queries and witness
-distances use plain BFS. The reported witness is always the one from
-the lowest-numbered violating source.
+Only ``build_report`` turns the rounds into k* and the per-k verdicts,
+which ``integration_level``, ``is_k_integrated`` and
+``QuotientGraph.diameter`` read. The reported witness is always the one
+from the lowest-numbered violating source, and its distance is read
+from the rounds too: the first level whose ball around the source holds
+the target. Only the single-source queries ``bounded_bfs`` and
+``eccentricity`` use plain BFS.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -29,6 +34,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidNodeError, KIntegrationError, require_int
 from .graph import CommunityGraph, Edge
+
+log = logging.getLogger(__name__)
 
 UNREACHED = -1
 
@@ -135,6 +142,8 @@ class _TwinQuotient:
     distinct classes; members of one class sit at distance 1 (classes
     are cliques). Classes are ordered by their smallest node id and keyed
     by the closed neighborhood as a tuple, u spliced into its neighbours.
+    Without twins every class is one node, in node order, and the class
+    graph is the input's adjacency itself.
     """
 
     def __init__(self, g: CommunityGraph):
@@ -145,67 +154,55 @@ class _TwinQuotient:
         check_class_count(len(groups))
         # each group was created at its smallest member, so the dict holds them in that order
         classes = list(groups.values())
+        self.node_count = g.node_count
+        self.classes: list[list[int]] = classes
+        self.extra_masks: list[int] = []
+        if len(classes) == g.node_count:
+            self.class_of: Sequence[int] = range(g.node_count)
+            self.adjacency: Sequence[Sequence[int]] = g.adjacency
+            return
         class_of = [0] * g.node_count
         for ci, members in enumerate(classes):
             for u in members:
                 class_of[u] = ci
         adjacency: list[tuple[int, ...]] = []
         for ci, members in enumerate(classes):
-            rep = members[0]
-            nbs = {class_of[v] for v in g.adjacency[rep]}
+            nbs = {class_of[v] for v in g.adjacency[members[0]]}
             nbs.discard(ci)
             adjacency.append(tuple(sorted(nbs)))
         # extra_masks[j] holds the classes whose extra members (size - 1)
         # have bit j set, so a ball's node count is its bit count plus
         # sum_j 2**j * |ball & extra_masks[j]|
         multi = [(ci, len(members) - 1) for ci, members in enumerate(classes) if len(members) > 1]
-        width = max((extra for _, extra in multi), default=0).bit_length()
+        width = max(extra for _, extra in multi).bit_length()
         self.extra_masks = [sum(1 << ci for ci, extra in multi if extra >> j & 1) for j in range(width)]
-        self.node_count = g.node_count
-        self.classes: list[list[int]] = classes
-        self.adjacency: list[tuple[int, ...]] = adjacency
+        self.class_of = class_of
+        self.adjacency = adjacency
 
-    def verdict(self, k: int, balls: list[int]) -> KVerdict:
-        """The k-verdict from the level-k balls.
+    def violation(self, k: int, balls: list[int]) -> tuple[int, int | None] | None:
+        """The lowest violating class at level k and the lowest class outside its ball.
 
         Classes are ordered by min node id, so the first violating class
-        yields the lowest violating source overall. Its target is the
-        lowest unreachable node if any, else the lowest node at
-        distance > k.
+        holds the lowest violating source overall. At k = 0 a class of
+        several members violates even when its ball is full.
         """
         full = (1 << len(balls)) - 1
         for ci, ball in enumerate(balls):
-            members = self.classes[ci]
-            if ball != full or (k == 0 and len(members) > 1):
-                break
-        else:
-            return KVerdict(k=k, integrated=True)
-        dist = _bfs(self.adjacency, ci)
-        if UNREACHED in dist:
-            target, distance = self.classes[dist.index(UNREACHED)][0], None
-        else:
-            candidates: list[tuple[int, int]] = []
-            missing = full & ~ball
-            if missing:
-                cj = (missing & -missing).bit_length() - 1
-                candidates.append((self.classes[cj][0], dist[cj]))
-            if k == 0 and len(members) > 1:
-                candidates.append((members[1], 1))
-            target, distance = min(candidates)
-        return KVerdict(k=k, integrated=False, witness=(members[0], target), witness_distance=distance)
+            if ball != full:
+                missing = full & ~ball
+                return ci, (missing & -missing).bit_length() - 1
+            if k == 0 and len(self.classes[ci]) > 1:
+                return ci, None
+        return None
 
     def reach_counts(self, k: int, balls: list[int]) -> tuple[int, ...]:
         """Per node, how many nodes lie within distance k (itself included)."""
         if k == 0:
             return (1,) * self.node_count
-        counts = [0] * self.node_count
-        for members, ball in zip(self.classes, balls):
-            within = ball.bit_count()
-            for j, mask in enumerate(self.extra_masks):
-                within += (ball & mask).bit_count() << j
-            for u in members:
-                counts[u] = within
-        return tuple(counts)
+        within = list(map(int.bit_count, balls))
+        for j, mask in enumerate(self.extra_masks):
+            within = [count + ((ball & mask).bit_count() << j) for count, ball in zip(within, balls)]
+        return tuple(map(within.__getitem__, self.class_of))
 
 
 def integration_level(g: CommunityGraph) -> int | None:
@@ -218,33 +215,42 @@ def is_k_integrated(g: CommunityGraph, k: int) -> KVerdict:
 
     The witness source is the lowest-id violating node; its target is
     the lowest-id unreachable node if any, else the lowest-id node at
-    distance > k.
+    distance > k. This is ``build_report``'s row for k, so it walks the
+    kernel to closure.
     """
-    require_int("k", k, 0)
-    q = _TwinQuotient(g)
-    for level, balls in enumerate(_ball_levels(q.adjacency)):
-        if level == k:
-            break
-    return q.verdict(k, balls)
+    return build_report(g, (k,)).per_k[0]
 
 
 def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
-    """k*, per-k verdicts and reach profile from one run of the distance kernel."""
+    """k*, per-k verdicts and reach profile from one run of the distance kernel.
+
+    A failing k's witness distance comes from the same rounds: the first
+    level whose ball around the source class holds the target class.
+    """
+    started = time.perf_counter()
     ks = list(ks)
     for k in ks:
         require_int("k", k, 0)
     wanted = set(ks)
     q = _TwinQuotient(g)
-    verdicts: dict[int, KVerdict] = {}
+    violations: dict[int, tuple[int, int | None] | None] = {}
     reach: dict[int, tuple[int, ...]] = {}
+    # (source class, target class) -> the first level whose source ball holds the target
+    entered: dict[tuple[int, int], int] = {}
+    pending: set[tuple[int, int]] = set()
     for level, balls in enumerate(_ball_levels(q.adjacency)):
+        for pair in [pair for pair in pending if balls[pair[0]] >> pair[1] & 1]:
+            entered[pair] = level
+            pending.remove(pair)
         if level in wanted:
-            verdicts[level] = q.verdict(level, balls)
+            violations[level] = found = q.violation(level, balls)
             reach[level] = q.reach_counts(level, balls)
+            if found is not None and found[1] is not None:
+                pending.add(found)
     # levels past closure see the closed balls
     for k in wanted:
         if k > level:
-            verdicts[k] = q.verdict(k, balls)
+            violations[k] = q.violation(k, balls)
             reach[k] = q.reach_counts(k, balls)
     # a connected class graph closes at its diameter, with every ball full
     full = (1 << len(balls)) - 1
@@ -252,6 +258,25 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     if all(ball == full for ball in balls):
         # members of one class sit at distance 1
         k_star = max(level, 1) if len(balls) < q.node_count else level
+    verdicts: dict[int, KVerdict] = {}
+    for k, found in violations.items():
+        if found is None:
+            verdicts[k] = KVerdict(k=k, integrated=True)
+            continue
+        ci, cj = found
+        members = q.classes[ci]
+        unreached = full & ~balls[ci]
+        if unreached:
+            target, distance = q.classes[(unreached & -unreached).bit_length() - 1][0], None
+        else:
+            candidates = [] if cj is None else [(q.classes[cj][0], entered[ci, cj])]
+            if k == 0 and len(members) > 1:
+                candidates.append((members[1], 1))
+            target, distance = min(candidates)
+        verdicts[k] = KVerdict(k=k, integrated=False, witness=(members[0], target), witness_distance=distance)
+    log.info("distance kernel: %d classes, closed after %d rounds, k* %s, %d distinct witness sources, %.3f s",
+             len(balls), level, k_star, len({found[0] for found in violations.values() if found is not None}),
+             time.perf_counter() - started)
     return IntegrationReport(
         k_star=k_star,
         per_k=tuple(verdicts[k] for k in ks),

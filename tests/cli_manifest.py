@@ -138,7 +138,9 @@ def _certify_requests() -> list[list[str]]:
         ["-r", "3", "-n", "3", "--k", "2,3", "--mode", "randomized", "--seed", "1"],
     ]
     refused = [["-r", "3", "-n", "2"], ["-r", "2", "-n", "2", "--budget", "0"],
-               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--seed", "-1"]]
+               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--seed", "-1"],
+               ["-r", "3", "-n", "3", "--k", "2", "--seed", "-1"], ["-r", "3", "-n", "3", "--k", "2", "--trials", "0"],
+               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--budget", "0"]]
     return [["certify", *row, "--format", fmt] for row in rows for fmt in FORMATS] + [
         ["certify", *row] for row in refused
     ]

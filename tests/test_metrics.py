@@ -1,6 +1,11 @@
+import itertools
+import logging
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kintegration import (
     InvalidNodeError,
@@ -18,7 +23,7 @@ from kintegration import (
     star_quotient,
     two_star,
 )
-from kintegration import metrics
+from kintegration import cli, metrics
 from kintegration.metrics import _TwinQuotient
 
 import naive
@@ -216,3 +221,68 @@ def test_every_kernel_entry_refuses_more_classes_than_the_limit(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(metrics, "MAX_CLASSES", 4)
     assert integration_level(islands(2, 300, [(0, 300)])) == 3
+
+
+@st.composite
+def _graph_and_ks(draw):
+    """A random community graph of up to 39 nodes, and ks from 0 to node_count + 1.
+
+    The base nodes fall into 1 to 3 components by id modulo the count,
+    each a random tree plus random chords. Each base node is then blown
+    up into a clique of 1 to 3 twins under shuffled ids, so twin classes
+    of several members occur.
+    """
+    base = draw(st.integers(1, 13))
+    parts = draw(st.integers(1, 3))
+    copies = draw(st.lists(st.integers(1, 3), min_size=base, max_size=base))
+    pairs = [(a, b) for a, b in itertools.combinations(range(base), 2) if (b - a) % parts == 0]
+    base_edges = set(draw(st.lists(st.sampled_from(pairs), max_size=base))) if pairs else set()
+    base_edges |= {(draw(st.sampled_from(range(b % parts, b, parts))), b) for b in range(parts, base)}
+    node_count = sum(copies)
+    ids = draw(st.permutations(range(node_count)))
+    groups, start = [], 0
+    for size in copies:
+        groups.append(ids[start:start + size])
+        start += size
+    edges = [pair for group in groups for pair in itertools.combinations(group, 2)]
+    edges += [(u, v) for a, b in base_edges for u in groups[a] for v in groups[b]]
+    labels = draw(st.lists(st.integers(0, 3), min_size=node_count, max_size=node_count))
+    g = build_graph(edges, dict(enumerate(labels)))
+    ks = draw(st.lists(st.integers(0, node_count + 1), min_size=1, max_size=8))
+    return g, ks
+
+
+@given(_graph_and_ks())
+@settings(max_examples=150, deadline=None)
+def test_every_report_row_matches_the_naive_witness(case):
+    g, ks = case
+    edges = list(g.edges)
+    expected = {k: naive.violation_witness(g.node_count, edges, k) for k in set(ks)}
+    report = build_report(g, ks)
+    assert [row.k for row in report.per_k] == ks
+    for k, row in zip(ks, report.per_k):
+        _assert_witness(row, expected[k])
+        assert is_k_integrated(g, k) == row
+
+
+def test_no_query_but_the_single_source_ones_runs_a_bfs(sample_graph, data_dir, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a single-source BFS ran")
+
+    monkeypatch.setattr(metrics, "_bfs", never)
+    report = build_report(sample_graph, [0, 1, 2, 3, 4, 5, 6])
+    assert [row.witness_distance for row in report.per_k] == [1, 3, 3, 5, 5, None, None]
+    assert is_k_integrated(sample_graph, 4) == report.per_k[4]
+    files = ["--edges", str(data_dir / "sample_edges.txt"), "--communities", str(data_dir / "sample_communities.txt")]
+    assert cli.main(["analyze", *files, "--k", "1,2,3,4,5,6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_build_report_logs_its_kernel_counts(sample_graph, caplog):
+    caplog.set_level(logging.INFO, logger="kintegration.metrics")
+    build_report(sample_graph, [1, 2, 3, 4, 5, 6])
+    message, = [record.getMessage() for record in caplog.records]
+    # 7 classes, closed after 5 rounds, k* 5, and one witness source (node 01) for k = 1..4
+    assert re.sub(r", [\d.]+ s$", "", message) == (
+        "distance kernel: 7 classes, closed after 5 rounds, k* 5, 1 distinct witness sources"
+    )
