@@ -74,14 +74,14 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
     rows = []
     for k in ks:
         row = thresholds.threshold_row(r, n, k)
-        verdict = thresholds.segregation_verdict(g, k)
+        reason = row.shortfall(g.census.bridge_count, g.census.central_count)
         rows.append(
             {
                 "k": k,
                 "bridges_required": _bound_row(row.bridges),
                 "centrals_required": row.centrals,
-                "provably_segregated": verdict.provably_segregated,
-                "reason": verdict.reason,
+                "provably_segregated": reason is not None,
+                "reason": reason,
             }
         )
     section = {"r": r, "n": n, "rows": rows}

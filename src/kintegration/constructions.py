@@ -120,8 +120,10 @@ def figure1_quotient(k: int, r: int = 8) -> QuotientGraph:
 
     Available from the CLI as ``--quotient figure1:K`` for K in 4..9.
     """
+    require_int("r", r, 1)
     if r != 8:
         raise UnsupportedCommunityCountError(f"the figure1 family is defined for r=8 only, got r={r}")
+    require_int("k", k, 1)
     if k not in _FIGURE1_EDGES:
         raise InvalidParamsError(f"the figure1 family covers k in 4..9, got k={k}")
     return QuotientGraph(8, _FIGURE1_EDGES[k])

@@ -548,12 +548,12 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS,
 def fits_row(row: ThresholdRow, witness, exact: bool) -> bool:
     """Whether the feasible bridge set ``witness`` agrees with a threshold row.
 
-    The row's counts are necessary: fewer than ``row.bridges.lower``
-    bridges or ``row.centrals`` distinct ends disprove it.  Only a
-    certified minimum (``exact``) must also stay within ``row.bridges.upper``.
+    The row's counts are necessary, so any ``row.shortfall`` of the
+    witness's bridges and distinct ends disproves it.  Only a certified
+    minimum (``exact``) must also stay within ``row.bridges.upper``.
     """
-    centrals = len({node for edge in witness for node in edge})
-    return row.bridges.lower <= len(witness) and (not exact or len(witness) <= row.bridges.upper) and centrals >= row.centrals
+    ends = len({node for edge in witness for node in edge})
+    return row.shortfall(len(witness), ends) is None and (not exact or len(witness) <= row.bridges.upper)
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:

@@ -18,8 +18,10 @@ Every other function and caller reads whole rows from it.
 
 These are necessary conditions: a network below either count is
 provably k-segregated, but meeting both proves nothing, so integration
-still has to be confirmed by measurement. Counts grow quadratically
-(B_1 is ~28 million already at r=8, n=1000).
+still has to be confirmed by measurement. That test is written once, as
+``ThresholdRow.shortfall``, which ``segregation_verdict``, ``analyze``'s
+threshold section and ``certify``'s agreement rule all call. Counts grow
+quadratically (B_1 is ~28 million already at r=8, n=1000).
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class ThresholdRow:
     k: int
     bridges: Bound
     centrals: int
+
+    def shortfall(self, bridges: int, centrals: int) -> str | None:
+        """Why these counts rule out k-integration (bridges checked first), or None when both suffice."""
+        if bridges < self.bridges.lower:
+            return f"bridge count {bridges} is below the k={self.k} requirement {self.bridges.lower}"
+        if centrals < self.centrals:
+            return f"central-node count {centrals} is below the k={self.k} requirement {self.centrals}"
+        return None
 
 
 def threshold_row(r: int, n: int, k: int) -> ThresholdRow:
@@ -121,22 +131,11 @@ def model_shape(g: CommunityGraph) -> tuple[int, int]:
 
 
 def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
-    """Counting verdict for a strict-model graph.
+    """Counting verdict for a strict-model graph: the k row's shortfall of its census counts.
 
-    ProvablySegregated when the bridge count falls below the k
-    threshold's lower end or the central count falls below C_k;
+    ProvablySegregated with the row's reason when a count falls short;
     NotDetermined otherwise (the conditions are necessary, never
     sufficient, so a NotDetermined graph still needs measuring).
     """
-    row = threshold_row(*model_shape(g), k)
-    b = g.census.bridge_count
-    c = g.census.central_count
-    if b < row.bridges.lower:
-        return SegregationVerdict(
-            True, f"bridge count {b} is below the k={k} requirement {row.bridges.lower}"
-        )
-    if c < row.centrals:
-        return SegregationVerdict(
-            True, f"central-node count {c} is below the k={k} requirement {row.centrals}"
-        )
-    return SegregationVerdict(False)
+    reason = threshold_row(*model_shape(g), k).shortfall(g.census.bridge_count, g.census.central_count)
+    return SegregationVerdict(reason is not None, reason)

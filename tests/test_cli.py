@@ -594,6 +594,22 @@ def test_cmd_analyze_direct(sample_graph, data_dir):
     assert payload["graph"]["node_count"] == 12
 
 
+def test_analyze_reads_each_threshold_row_and_the_model_shape_once(capsys, monkeypatch):
+    calls = {"threshold_row": 0, "model_shape": 0}
+    for name in calls:
+        real = getattr(cli.thresholds, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli.thresholds, name, counted)
+    code, out, _ = run(capsys, ["analyze", *SAMPLE, "--k", "1,2,3,4"])
+    assert code == 0
+    assert len(json.loads(out)["thresholds"]["rows"]) == 4
+    assert calls == {"threshold_row": 4, "model_shape": 1}
+
+
 def test_log_level_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("KINTEGRATION_LOG_LEVEL", "not-a-level")
     assert main(["thresholds", "-r", "2", "-n", "2", "--format", "text"]) == 0

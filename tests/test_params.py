@@ -5,19 +5,24 @@ import pytest
 from kintegration import (
     InvalidParamsError,
     QuotientGraph,
+    UnsupportedCommunityCountError,
     bounded_bfs,
     bridge_threshold,
     build_report,
     central_threshold,
     complete_join,
     complete_quotient,
+    cycle_quotient,
     extended_star,
+    figure1_quotient,
     is_k_integrated,
     is_locally_complete,
     min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
     pair_bridge_minimum,
+    path_quotient,
+    star_quotient,
     threshold_rows,
     two_star,
 )
@@ -42,6 +47,11 @@ _CASES = {
     "extended_star.r": (extended_star, lambda x: (x, 2, complete_quotient(1)), 1),
     "extended_star.n": (extended_star, lambda x: (2, x, complete_quotient(2)), 1),
     "QuotientGraph.r": (QuotientGraph, lambda x: (x, ()), 1),
+    "complete_quotient.r": (complete_quotient, lambda x: (x,), 1),
+    "star_quotient.r": (star_quotient, lambda x: (x,), 1),
+    "path_quotient.r": (path_quotient, lambda x: (x,), 1),
+    "cycle_quotient.r": (cycle_quotient, lambda x: (x,), 3),
+    "figure1_quotient.k": (figure1_quotient, lambda x: (x,), 4),
     "QuotientGraph.edges.u": (QuotientGraph, lambda x: (3, ((x, 1),)), 0),
     "QuotientGraph.edges.v": (QuotientGraph, lambda x: (3, ((1, x),)), 0),
     "bounded_bfs.k": (bounded_bfs, lambda x: (_G, 0, x), 0),
@@ -63,11 +73,26 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["below", "minus-one", 1.5, "2", None, True], ids=repr)
+@pytest.mark.parametrize("bad", ["below", "minus-one", "float", 1.5, "2", None, True], ids=repr)
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_entry_points_reject_bad_integers(case, bad):
     func, args, minimum = _CASES[case]
     func(*args(minimum))  # the minimum itself is accepted
-    value = {"below": minimum - 1, "minus-one": -1}.get(bad, bad)
+    value = {"below": minimum - 1, "minus-one": -1, "float": float(minimum)}.get(bad, bad)
     with pytest.raises(InvalidParamsError):
         func(*args(value))
+
+
+@pytest.mark.parametrize(
+    "r, error",
+    [
+        pytest.param(8.0, InvalidParamsError, id="8.0"),
+        pytest.param("8", InvalidParamsError, id="'8'"),
+        pytest.param(None, InvalidParamsError, id="None"),
+        pytest.param(True, InvalidParamsError, id="True"),
+        pytest.param(7, UnsupportedCommunityCountError, id="7"),
+    ],
+)
+def test_figure1_quotient_checks_r_is_an_integer_before_it_is_eight(r, error):
+    with pytest.raises(error):
+        figure1_quotient(4, r)

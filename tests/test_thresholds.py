@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from kintegration import (
     Bound,
     InvalidParamsError,
     ModelViolationError,
+    SegregationVerdict,
     ThresholdRow,
     bridge_threshold,
     central_threshold,
@@ -16,6 +19,7 @@ from kintegration import (
     threshold_row,
     threshold_rows,
 )
+from kintegration.oracle import fits_row
 
 import naive
 from helpers import islands, islands_of_sizes
@@ -86,6 +90,7 @@ def test_single_community_is_free():
     for k in (1, 2, 9):
         assert bridge_threshold(1, 5, k) == Bound(0, 0)
         assert central_threshold(1, 5, k) == 0
+        assert threshold_row(1, 5, k).shortfall(0, 0) is None  # never falls short
 
 
 def test_validation():
@@ -118,6 +123,36 @@ def test_table_matches_naive_transcription():
                 assert bridge_threshold(r, n, k) == Bound(lower, upper)
                 assert central_threshold(r, n, k) == centrals
                 assert rows[k - 1] == ThresholdRow(k, Bound(lower, upper), centrals)
+
+
+def test_shortfall_at_and_below_each_count():
+    row = threshold_row(4, 4, 2)  # B_2 = 12, C_2 = 13
+    assert row.shortfall(12, 13) is None
+    assert row.shortfall(11, 13) == "bridge count 11 is below the k=2 requirement 12"
+    assert row.shortfall(12, 12) == "central-node count 12 is below the k=2 requirement 13"
+    # with both short, the bridge count is the one reported
+    assert row.shortfall(11, 12) == "bridge count 11 is below the k=2 requirement 12"
+    # an interval row is judged at its lower end
+    assert threshold_row(4, 4, 4).shortfall(3, 4) is None
+    assert threshold_row(4, 4, 4).shortfall(2, 4) == "bridge count 2 is below the k=4 requirement 3"
+
+
+def test_every_judge_of_the_counts_agrees_with_shortfall():
+    # prefixes of the cross pairs in two orders: lexicographic (a star on node 0,
+    # as many ends as bridges allow) and by higher end (few ends, many bridges)
+    for r in range(1, 5):
+        for n in (r, r + 1):
+            cross = [(u, v) for u, v in itertools.combinations(range(r * n), 2) if u // n != v // n]
+            for order in (sorted(cross), sorted(cross, key=lambda e: (e[1], e[0]))):
+                for size in range(len(order) + 1):
+                    witness = order[:size]
+                    ends = len({node for edge in witness for node in edge})
+                    g = islands(r, n, witness)
+                    for row in threshold_rows(r, n, r + 2):
+                        reason = row.shortfall(size, ends)
+                        assert segregation_verdict(g, row.k) == SegregationVerdict(reason is not None, reason)
+                        assert fits_row(row, witness, exact=False) is (reason is None)
+                        assert fits_row(row, witness, exact=True) is (reason is None and size <= row.bridges.upper)
 
 
 def test_pair_bridge_minimum():
