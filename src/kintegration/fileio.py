@@ -83,7 +83,8 @@ def _read_text(path: str | os.PathLike) -> str:
             return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             data = exc.object
-            line = data.count(b"\n", 0, exc.start) + 1
+            # numbered by the parsers' line breaks, which str.splitlines draws
+            line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
             raise ParseError(
                 line, f"{os.fspath(path)} is not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
             ) from None

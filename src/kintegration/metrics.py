@@ -19,8 +19,8 @@ which ``integration_level``, ``is_k_integrated`` and
 ``QuotientGraph.diameter`` read. The reported witness is always the one
 from the lowest-numbered violating source, and its distance is read
 from the rounds too: the first level whose ball around the source holds
-the target. Only the single-source queries ``bounded_bfs`` and
-``eccentricity`` use plain BFS.
+the target. ``bounded_bfs`` is the one single-source BFS, and
+``eccentricity`` reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -36,8 +35,6 @@ from .errors import InvalidNodeError, KIntegrationError, require_int
 from .graph import CommunityGraph, Edge
 
 log = logging.getLogger(__name__)
-
-UNREACHED = -1
 
 # two rounds of balls hold 2 * classes**2 / 8 bytes: ~0.9 GB at the limit
 MAX_CLASSES = 60_000
@@ -71,37 +68,29 @@ def _check_source(g: CommunityGraph, source: int) -> None:
         raise InvalidNodeError(source)
 
 
-def _bfs(adjacency: Sequence[Sequence[int]], source: int, depth_cap: int | None = None) -> list[int]:
-    """Single-source BFS distances; UNREACHED marks nodes beyond reach or cap."""
-    dist = [UNREACHED] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if depth_cap is not None and dist[u] == depth_cap:
-            continue
-        for v in adjacency[u]:
-            if dist[v] == UNREACHED:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def bounded_bfs(g: CommunityGraph, source: int, k: int) -> dict[int, int]:
-    """Distances of exactly the nodes within k hops of ``source``."""
+    """Distances of exactly the nodes within k hops of ``source``, in node order."""
     _check_source(g, source)
     require_int("k", k, 0)
-    dist = _bfs(g.adjacency, source, depth_cap=k)
-    return {v: d for v, d in enumerate(dist) if d != UNREACHED}
+    dist = [-1] * g.node_count
+    dist[source] = 0
+    frontier, level = [source], 0
+    while frontier and level < k:
+        level += 1
+        reached = []
+        for u in frontier:
+            for v in g.adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = level
+                    reached.append(v)
+        frontier = reached
+    return {v: d for v, d in enumerate(dist) if d >= 0}
 
 
 def eccentricity(g: CommunityGraph, source: int) -> int | None:
     """Max distance from ``source``; None when some node is unreachable."""
-    _check_source(g, source)
-    dist = _bfs(g.adjacency, source)
-    if UNREACHED in dist:
-        return None
-    return max(dist)
+    dist = bounded_bfs(g, source, g.node_count)
+    return max(dist.values()) if len(dist) == g.node_count else None
 
 
 def _ball_levels(adjacency: Sequence[Sequence[int]]) -> Iterator[list[int]]:

@@ -4,7 +4,8 @@ Answers the question: given r complete communities of fixed sizes and a
 target level k, how many bridges must be added before every pair of
 nodes is within distance k?  The exhaustive search enumerates candidate
 bridge sets in ascending size, so the first feasible set certifies the
-true minimum.
+true minimum.  The randomized one starts from a construction's bridges,
+laid on each community's first slot, and builds no network.
 
 There is one search, and it is symmetry-reduced: it skips candidate
 sets that are relabelings of an earlier one (nodes within a community
@@ -71,10 +72,9 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import and_, ne, or_
 
-from .constructions import complete_quotient, extended_star, star_quotient, two_star
 from .errors import InvalidParamsError, require_int
 from .graph import Edge
 from .thresholds import ThresholdRow, threshold_row
@@ -445,22 +445,23 @@ def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET)
 def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0) -> tuple[Edge, ...]:
     """A feasible bridge set found by shuffle-and-prune, sorted; its size bounds the minimum from above.
 
-    Each trial starts from a known feasible set, removes edges in random
-    order (keeping the set feasible), then tries random edge swaps to
-    escape local minima.  Every set the search holds (the starting set,
-    the current one and the one a prune works on) keeps a table, filled
-    lazily, of the leaf rule of the set without each of its edges.  A
-    prune keeps an edge when that rule has a short source, which is
-    exactly when the set without it is not k-integrated; a removal starts
-    a fresh table, and the starting set's table serves every trial.  A
-    swap (e_out, e_in) is refuted in O(1) by the current set's rule for
-    e_out, when a short source lies beyond k - 1 hops of both ends of
-    e_in; the swaps it leaves open are decided exactly from that rule's
-    ball layers, and after an accepted swap the prune keeps at once an
-    edge whose rule in the old set decides that adding e_in leaves it
-    short.  The returned set is always feasible, so the bound is sound
-    even though it may not be tight.  The RNG draws are fixed by the
-    seed (>= 0), so a seed names one witness.
+    Each trial starts from the bridges of the construction meeting the k
+    row, laid on each community's first slot with no network built,
+    removes edges in random order (keeping the set feasible), then tries
+    random edge swaps to escape local minima.  Every set the search holds
+    (the starting set, the current one and the one a prune works on) keeps
+    a table, filled lazily, of the leaf rule of the set without each of
+    its edges.  A prune keeps an edge when that rule has a short source,
+    which is exactly when the set without it is not k-integrated; a
+    removal starts a fresh table, and the starting set's table serves
+    every trial.  A swap (e_out, e_in) is refuted in O(1) by the current
+    set's rule for e_out, when a short source lies beyond k - 1 hops of
+    both ends of e_in; the swaps it leaves open are decided exactly from
+    that rule's ball layers, and after an accepted swap the prune keeps at
+    once an edge whose rule in the old set decides that adding e_in leaves
+    it short.  The returned set is always feasible, so the bound is sound
+    even though it may not be tight.  The RNG draws are fixed by the seed
+    (>= 0), so a seed names one witness.
     """
     require_int("r", r, 1)
     require_int("n", n, 1)
@@ -472,12 +473,11 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS,
         # the exact search settles both at once: no bridges, or every cross pair
         return min_bridges_exhaustive(r, n, k).witness
     inst = _instance((n,) * r)
-    # the construction meeting this k row; its node ids follow the search's layout
-    if k == 2:
-        built = two_star(r, n)
-    else:
-        built = extended_star(r, n, complete_quotient(r) if k == 3 else star_quotient(r))
-    initial = frozenset(e for e in built.graph.edges if built.graph.is_bridge(*e))
+    # the bridges of the construction meeting this k row, with each community's first slot as its hub: the
+    # two-star, then the extended star on a complete quotient, then on a star quotient
+    hubs = [lo for lo, _ in inst.spans]
+    later = range(hubs[1], inst.node_count) if k == 2 else hubs[1:]
+    initial = frozenset(combinations(hubs, 2) if k == 3 else ((0, v) for v in later))
     if not inst.is_k_integrated(initial, k):
         raise AssertionError("internal: seed bridge set failed its own check")
     rng = random.Random(seed)

@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from kintegration import Bound, InvalidParamsError, OracleVerdict, QuotientGraph, RowCheck, cli, fileio, graph, metrics
+from kintegration import (
+    Bound, InvalidParamsError, OracleVerdict, QuotientGraph, RowCheck, cli, constructions, fileio, graph, metrics,
+)
 from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
 
@@ -424,6 +426,21 @@ def test_analyze_generate_and_exhaustive_certify_list_no_bridges(capsys, tmp_pat
     assert run(capsys, ["generate", "--family", "complete-join", "-r", "3", "-n", "4", "--out", out])[0] == 0
     assert run(capsys, ["analyze", "--edges", out + "/edges.txt", "--communities", out + "/communities.txt"])[0] == 0
     assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2,3"])[0] == 0
+
+
+@pytest.mark.parametrize("r,n,mode", [(3, 3, "exhaustive"), (3, 3, "randomized"), (4, 4, "randomized")])
+def test_certify_builds_nothing_but_the_search(capsys, monkeypatch, r, n, mode):
+    argv = ["certify", "-r", str(r), "-n", str(n), "--k", ",".join(map(str, range(1, r + 3))), "--mode", mode]
+    expected = run(capsys, argv)
+
+    def never(*args, **kwargs):
+        raise AssertionError("certify built a network or ran the distance kernel")
+
+    # QuotientGraph.diameter looks build_graph up in constructions
+    monkeypatch.setattr(constructions, "_assemble", never)
+    monkeypatch.setattr(constructions, "build_graph", never)
+    monkeypatch.setattr(metrics, "_ball_levels", never)
+    assert run(capsys, argv) == expected
 
 
 def test_generate_dot_builds_no_edge_tuple(capsys, tmp_path, monkeypatch):

@@ -336,6 +336,12 @@ def test_load_graph_drops_a_leading_byte_order_mark(tmp_path, marked):
         (BOM + b"\xffa b\n", 1, 3),  # an invalid byte right after the BOM
         (BOM + b"a b\nb \xffc\n", 2, 9),
         (b"\xef\xbb", 1, 0),  # the start of a BOM and nothing after it is not empty text
+        # numbered by the parsers' line breaks, which str.splitlines draws, not by b"\n" alone
+        (b"a b\rb \xffc\r", 2, 6),
+        (b"a b\r\nb c\rc \xffa\n", 3, 11),
+        (b"a b\x0bb c\x0cc \xffa", 3, 10),
+        ("a b\x85b c\u2028c a\n".encode() + b"\xff", 4, 15),
+        (b"a b\n\n\rb \xff", 4, 8),
     ],
 )
 def test_load_graph_reports_decode_errors_from_the_files_first_byte(tmp_path, data, line, offset):

@@ -50,6 +50,7 @@ def test_bounded_bfs_matches_naive(sample_graph):
         full = bounded_bfs(sample_graph, source, sample_graph.node_count)
         expected = {v: d for v, d in enumerate(rows[source]) if d is not None}
         assert full == expected
+        assert list(full) == list(expected)
 
 
 def test_bounded_bfs_validates_arguments(sample_graph):
@@ -269,7 +270,7 @@ def test_no_query_but_the_single_source_ones_runs_a_bfs(sample_graph, data_dir, 
     def never(*args, **kwargs):
         raise AssertionError("a single-source BFS ran")
 
-    monkeypatch.setattr(metrics, "_bfs", never)
+    monkeypatch.setattr(metrics, "bounded_bfs", never)
     report = build_report(sample_graph, [0, 1, 2, 3, 4, 5, 6])
     assert [row.witness_distance for row in report.per_k] == [1, 3, 3, 5, 5, None, None]
     assert is_k_integrated(sample_graph, 4) == report.per_k[4]
