@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import metrics
 from .errors import (
@@ -34,32 +33,31 @@ from .errors import (
     UnsupportedCommunityCountError,
     require_int,
 )
-from .graph import MAX_EDGES, CommunityGraph, Edge, build_graph
+from .graph import MAX_EDGES, CommunityGraph, Edge, Frozen, build_graph
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Simple graph on community ids, used as an extended-star bridge plan."""
+class QuotientGraph(Frozen):
+    """Simple graph on community ids, used as an extended-star bridge plan; edges are kept sorted, with u < v."""
 
     r: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        require_int("r", self.r, 1)
+    def __init__(self, r: int, edges: tuple[Edge, ...]) -> None:
+        require_int("r", r, 1)
         seen: set[Edge] = set()
-        for edge in self.edges:
+        for edge in edges:
             if not isinstance(edge, (tuple, list)) or len(edge) != 2:
                 raise InvalidParamsError(f"quotient edge {edge!r} is not a pair")
             u, v = edge
-            require_int("quotient endpoint", u, 0, maximum=self.r - 1)
-            require_int("quotient endpoint", v, 0, maximum=self.r - 1)
+            require_int("quotient endpoint", u, 0, maximum=r - 1)
+            require_int("quotient endpoint", v, 0, maximum=r - 1)
             if u == v:
                 raise InvalidParamsError(f"quotient self-loop at {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InvalidParamsError(f"duplicate quotient edge ({u}, {v})")
             seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        super().__init__(r, tuple(sorted(seen)))
 
     @cached_property
     def diameter(self) -> int | None:
@@ -129,8 +127,7 @@ def figure1_quotient(k: int, r: int = 8) -> QuotientGraph:
     return QuotientGraph(8, _FIGURE1_EDGES[k])
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A generated network plus its claimed certificate.
 
     The claims (k-integration at ``claimed_k``, bridge and central

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -40,8 +39,42 @@ class EdgeCensus(NamedTuple):
     local_edge_count: int
 
 
-@dataclass(frozen=True)
-class CommunityGraph:
+class Frozen:
+    """Immutable fields, named by a subclass's annotations and set once in ``__init__``, with equality (same type
+    only), hash and repr by field; a ``cached_property`` still works, as it writes the instance ``__dict__`` itself."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if len(args) > len(self._fields) or kwargs.keys() != set(self._fields[len(args) :]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(zip(self._fields, args), **kwargs)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes: object) -> Frozen:
+        """A new instance with ``changes`` applied, built by ``__init__`` again, so nothing cached carries over."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class CommunityGraph(Frozen):
     """Simple undirected graph whose nodes carry community labels.
 
     Nodes are dense ids ``0..node_count-1`` and communities dense ids
@@ -106,9 +139,6 @@ class CommunityGraph:
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def is_bridge(self, u: int, v: int) -> bool:
-        return self.community_of[u] != self.community_of[v]
 
 
 def pick(values: Sequence, keys: Sequence[int]) -> Sequence:
@@ -235,4 +265,4 @@ def localize_complete(g: CommunityGraph) -> CommunityGraph:
         raise KIntegrationError(f"localizing adds {added} edges, more than the limit of {MAX_EDGES}")
     members, community_of = g.community_members, g.community_of
     united = (set(nb).union(members[community_of[u]]).difference((u,)) for u, nb in enumerate(g.adjacency))
-    return replace(g, adjacency=tuple(tuple(sorted(nb)) for nb in united))
+    return g.replace(adjacency=tuple(tuple(sorted(nb)) for nb in united))

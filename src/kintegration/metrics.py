@@ -28,8 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidNodeError, KIntegrationError, require_int
 from .graph import CommunityGraph, Edge
@@ -40,8 +39,7 @@ log = logging.getLogger(__name__)
 MAX_CLASSES = 60_000
 
 
-@dataclass(frozen=True)
-class KVerdict:
+class KVerdict(NamedTuple):
     """Outcome of an is-k-integrated check.
 
     ``witness`` is present iff ``integrated`` is false: a concrete pair
@@ -54,8 +52,7 @@ class KVerdict:
     witness_distance: int | None = None
 
 
-@dataclass(frozen=True)
-class IntegrationReport:
+class IntegrationReport(NamedTuple):
     """Per-graph distance facts: integration level, per-k verdicts, reach counts."""
 
     k_star: int | None

@@ -70,10 +70,10 @@ import logging
 import random
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress, repeat
 from operator import and_, ne, or_
+from typing import NamedTuple
 
 from .errors import InvalidParamsError, require_int
 from .graph import Edge
@@ -90,8 +90,7 @@ log = logging.getLogger(__name__)
 Rule = tuple[list[int], int, list[list[int]]]
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """Outcome of an exhaustive minimum-bridge search.
 
     ``min_bridges`` is None when the budget ran out first; then
@@ -111,8 +110,7 @@ class OracleVerdict:
         return self.min_bridges is not None
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """A certified search and whether it agrees with its threshold row (None when the budget ran out)."""
 
     verdict: OracleVerdict

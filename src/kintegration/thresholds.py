@@ -26,38 +26,39 @@ quadratically (B_1 is ~28 million already at r=8, n=1000).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParamsError, ModelViolationError, require_int
 from .graph import CommunityGraph
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple("Bound", [("lower", int), ("upper", int)])):
     """An integer threshold, exact when ``lower == upper``."""
 
-    lower: int
-    upper: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise InvalidParamsError(f"bound lower {self.lower} exceeds upper {self.upper}")
+    def __new__(cls, lower: int, upper: int) -> Bound:
+        if lower > upper:
+            raise InvalidParamsError(f"bound lower {lower} exceeds upper {upper}")
+        return super().__new__(cls, lower, upper)
+
+    @classmethod
+    def _make(cls, values) -> Bound:
+        return cls(*values)  # so ``_replace`` checks the bound too
 
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class SegregationVerdict:
+class SegregationVerdict(NamedTuple):
     """Either provably segregated (with the failed count as reason) or undetermined."""
 
     provably_segregated: bool
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
+class ThresholdRow(NamedTuple):
     k: int
     bridges: Bound
     centrals: int

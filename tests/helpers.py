@@ -41,24 +41,14 @@ def remove_edge(g: CommunityGraph, u: int, v: int) -> CommunityGraph:
     adjacency = [list(nb) for nb in g.adjacency]
     adjacency[u].remove(v)
     adjacency[v].remove(u)
-    return CommunityGraph(
-        adjacency=tuple(tuple(nb) for nb in adjacency),
-        community_of=g.community_of,
-        tokens=g.tokens,
-        community_tokens=g.community_tokens,
-    )
+    return g.replace(adjacency=tuple(map(tuple, adjacency)))
 
 
 def add_edge(g: CommunityGraph, u: int, v: int) -> CommunityGraph:
     adjacency = [list(nb) for nb in g.adjacency]
     adjacency[u] = sorted(adjacency[u] + [v])
     adjacency[v] = sorted(adjacency[v] + [u])
-    return CommunityGraph(
-        adjacency=tuple(tuple(nb) for nb in adjacency),
-        community_of=g.community_of,
-        tokens=g.tokens,
-        community_tokens=g.community_tokens,
-    )
+    return g.replace(adjacency=tuple(map(tuple, adjacency)))
 
 
 def random_community_graph(rng, max_nodes: int, connected: bool = True) -> CommunityGraph:

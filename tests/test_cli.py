@@ -3,7 +3,6 @@ import logging
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -295,7 +294,7 @@ def test_certify_randomized_agreement(capsys):
 def test_certify_randomized_disagreement_exits_3(capsys, monkeypatch):
     # pretend the table demands more bridges than a feasible witness uses
     row = cli.thresholds.threshold_row
-    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: replace(row(r, n, k), bridges=Bound(99, 99)))
+    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: row(r, n, k)._replace(bridges=Bound(99, 99)))
     code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", "randomized"])
     assert code == 3
     assert json.loads(out)["result"] == "disagree"
@@ -304,7 +303,7 @@ def test_certify_randomized_disagreement_exits_3(capsys, monkeypatch):
 def test_certify_randomized_too_few_centrals_exits_3(capsys, monkeypatch):
     # a feasible witness with fewer centrals than the table demands disproves the central count
     row = cli.thresholds.threshold_row
-    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: replace(row(r, n, k), centrals=99))
+    monkeypatch.setattr(cli.thresholds, "threshold_row", lambda r, n, k: row(r, n, k)._replace(centrals=99))
     code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", "randomized"])
     assert code == 3
     payload = json.loads(out)
@@ -527,12 +526,12 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
 
 
 def test_star_path_and_cycle_quotients_over_the_class_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):
-    def never(self):
+    def never(self, *args):
         raise AssertionError("the quotient was built")
 
     # a star, path or cycle on five vertices has five twin classes
     monkeypatch.setattr(metrics, "MAX_CLASSES", 4)
-    monkeypatch.setattr(QuotientGraph, "__post_init__", never)
+    monkeypatch.setattr(QuotientGraph, "__init__", never)
     for quotient in ("star", "path", "cycle"):
         argv = ["generate", "--family", "extended-star", "--quotient", quotient, "-r", "5", "-n", "1", "--out", str(tmp_path)]
         assert run(capsys, argv) == (1, "", "error: the graph has 5 twin classes, more than the limit of 4\n")
@@ -556,10 +555,10 @@ def test_graphs_over_the_class_limit_are_refused_before_the_kernel(capsys, tmp_p
 
 
 def test_complete_quotients_over_the_edge_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):
-    def never(self):
+    def never(self, *args):
         raise AssertionError("the quotient was built")
 
-    monkeypatch.setattr(QuotientGraph, "__post_init__", never)
+    monkeypatch.setattr(QuotientGraph, "__init__", never)
     argv = ["generate", "--family", "extended-star", "-r", "4473", "-n", "1", "--out", str(tmp_path)]
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")

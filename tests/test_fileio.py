@@ -143,7 +143,7 @@ def _dot_reference(g, name="network"):
         lines.append("  }")
     for u, v in g.edges:
         tu, tv = sorted((g.tokens[u], g.tokens[v]))
-        style = " [color=red, penwidth=2.0]" if g.is_bridge(u, v) else ""
+        style = " [color=red, penwidth=2.0]" if g.community_of[u] != g.community_of[v] else ""
         lines.append(f"  {quote(tu)} -- {quote(tv)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

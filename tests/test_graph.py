@@ -90,8 +90,8 @@ def test_adjacency_queries(sample_graph):
     id_of = {t: i for i, t in enumerate(g.tokens)}
     assert id_of["12"] in g.adjacency[id_of["02"]]
     assert id_of["12"] not in g.adjacency[id_of["01"]]
-    assert g.is_bridge(id_of["02"], id_of["12"])
-    assert not g.is_bridge(id_of["01"], id_of["02"])
+    assert g.community_of[id_of["02"]] != g.community_of[id_of["12"]]
+    assert g.community_of[id_of["01"]] == g.community_of[id_of["02"]]
     assert g.degree(id_of["02"]) == 4
     assert g.community_sizes == (4, 4, 4)
 

@@ -1,5 +1,4 @@
 """Randomized invariant checks spanning parser, metrics, thresholds and oracle."""
-import dataclasses
 import itertools
 import random
 
@@ -123,7 +122,7 @@ def test_localize_complete_matches_definition(seed, connected):
         neighbours[v].add(u)
     fixed = localize_complete(g)
     # same tokens and communities; exactly g's edges plus every same-community pair
-    assert fixed == dataclasses.replace(g, adjacency=tuple(tuple(sorted(nb)) for nb in neighbours))
+    assert fixed == g.replace(adjacency=tuple(tuple(sorted(nb)) for nb in neighbours))
     assert fixed.census.bridge_count == g.census.bridge_count
     assert fixed.census.central_count == g.census.central_count
     assert localize_complete(fixed) == fixed

@@ -1,7 +1,9 @@
 """The package runs on the standard library alone."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,15 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kintegration"
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+
+# runs in a fresh interpreter: the modules the CLI's start-up adds to what the interpreter had loaded
+CLI_START = """
+import sys
+before = set(sys.modules)
+from kintegration import cli
+cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -32,6 +43,20 @@ def test_every_import_is_the_package_or_the_standard_library():
         if root != "kintegration" and root not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_no_source_imports_dataclasses():
+    # it pulls in inspect, ast and dis, and each decorator execs generated methods, on every CLI call
+    assert [path.name for path in sorted(PACKAGE.rglob("*.py")) if "dataclasses" in _imported_roots(path)] == []
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", CLI_START], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "kintegration.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def test_every_source_parses_at_the_declared_python_floor():
