@@ -16,8 +16,6 @@ variable honored is KINTEGRATION_LOG_LEVEL.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -30,6 +28,8 @@ from . import metrics
 from .errors import InvalidParamsError, KIntegrationError, ModelViolationError, require_int
 
 SCHEMA_VERSION = 1
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +91,7 @@ def _threshold_section(g: graphmod.CommunityGraph, shape: tuple[int, int] | None
 
 
 def _data_quality(g: graphmod.CommunityGraph) -> dict:
-    isolated = [g.tokens[u] for u in range(g.node_count) if g.degree(u) == 0]
+    isolated = [token for token, nbs in zip(g.tokens, g.adjacency) if not nbs]
     missing_count = graphmod.missing_local_pair_count(g)
     # the pair scan only runs to name witnesses when the census says some are missing
     missing = graphmod.is_locally_complete(g, max_witnesses=10)[1] if missing_count else []
@@ -294,11 +294,33 @@ def cmd_thresholds(r: int, n: int, kmax: int) -> dict:
     }
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _json_dump(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte; ``pad`` is the newline and indent of ``value``'s line.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, so dicts with str keys and lists are written here, and a
+    list of plain ints or of plain strs is one join over C formatters. Any other value is ``json``'s, re-indented.
+    """
+    inner = pad + "  "
+    if type(value) is dict and set(map(type, value)) == {str}:
+        items = (f"{_encode_str(key)}: {_json_dump(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (type(value) is list or type(value) is tuple) and value:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(_encode_str, value)
+        else:
+            items = (_json_dump(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _csv_dump(header: list[str], rows: list[list]) -> str:
+    # imported by their one user, so a JSON or text call never loads them
+    import csv
+    import io
+
     sio = io.StringIO()
     writer = csv.writer(sio, lineterminator="\n")
     writer.writerow(header)
@@ -461,6 +483,8 @@ def _k_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if any(k < 1 for k in ks):
         raise argparse.ArgumentTypeError("integration levels must be >= 1")
+    if len(set(ks)) < len(ks):
+        raise argparse.ArgumentTypeError(f"integration levels must not repeat, got {text!r}")
     return ks
 
 

@@ -197,10 +197,10 @@ def intern_graph(
     community_keys = sorted(set(communities.values()))
     community_index = {key: i for i, key in enumerate(community_keys)}
     g = CommunityGraph(
-        adjacency=tuple(tuple(sorted(set(nb))) for nb in neighbor_lists),
-        community_of=tuple(community_index[communities[key]] for key in node_keys),
-        tokens=tuple(str(key) for key in node_keys),
-        community_tokens=tuple(str(key) for key in community_keys),
+        adjacency=tuple(map(tuple, map(sorted, map(set, neighbor_lists)))),
+        community_of=tuple(map(community_index.__getitem__, map(communities.__getitem__, node_keys))),
+        tokens=tuple(map(str, node_keys)),
+        community_tokens=tuple(map(str, community_keys)),
     )
     duplicates = sum(map(len, neighbor_lists)) // 2 - g.edge_count
     if duplicates:

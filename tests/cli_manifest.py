@@ -6,7 +6,8 @@ with any size limit it names shrunk for that one call. Its entry holds
 the exit code and the sha256 of stdout, stderr and every file it wrote.
 ``analyze`` reads the sample, a seeded input, a few edge cases, one small
 network of each ``generate`` family and quotient kind, and inputs it
-refuses. The oracle grid's entries hold the minimum, witness, sets
+refuses; ``analyze`` and ``certify`` are each refused a repeated level
+once. The oracle grid's entries hold the minimum, witness, sets
 examined and exhausted size of ``oracle.min_bridges_for_sizes`` for every
 sorted profile of 2 to 4 communities of 1 to 4 nodes, at each k from 1 to
 r + 1 and a budget of ``GRID_BUDGET``, so the budget's exact stopping point
@@ -140,7 +141,8 @@ def _certify_requests() -> list[list[str]]:
     refused = [["-r", "3", "-n", "2"], ["-r", "2", "-n", "2", "--budget", "0"],
                ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--seed", "-1"],
                ["-r", "3", "-n", "3", "--k", "2", "--seed", "-1"], ["-r", "3", "-n", "3", "--k", "2", "--trials", "0"],
-               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--budget", "0"]]
+               ["-r", "3", "-n", "3", "--k", "2", "--mode", "randomized", "--budget", "0"],
+               ["-r", "2", "-n", "2", "--k", "2,2"]]
     return [["certify", *row, "--format", fmt] for row in rows for fmt in FORMATS] + [
         ["certify", *row] for row in refused
     ]
@@ -185,6 +187,8 @@ def corpus() -> dict[str, tuple[dict[str, str | bytes], list[str], tuple]]:
             entries[f"{name}: {' '.join(argv)}"] = (inputs, argv, ())
     for name, inputs in REFUSED_INPUTS.items():
         entries[f"{name}: analyze"] = (inputs, ["analyze", *ANALYZE_FILES], ())
+    repeated = ["analyze", *ANALYZE_FILES, "--k", "2,2"]
+    entries[f"sample: {' '.join(repeated)}"] = (SAMPLE, repeated, ())
     limited = [
         ("sample", SAMPLE, ["analyze", *ANALYZE_FILES], (metrics, "MAX_CLASSES", 3)),
         ("random", random_input, ["analyze", *ANALYZE_FILES, "--localize"], (graph, "MAX_EDGES", 10)),

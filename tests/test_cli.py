@@ -209,6 +209,32 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["analyze", *SAMPLE], ["certify", "-r", "2", "-n", "2"]])
+def test_a_repeated_level_is_refused_at_parsing(capsys, argv):
+    # a repeated level would run its search twice, and analyze would print it twice in per_k and once in reach_profile
+    code, out, err = run(capsys, [*argv, "--k", "2,3,2"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: kintegration {argv[0]} ")
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert err.endswith(f"kintegration {argv[0]}: error: argument --k: integration levels must not repeat, got '2,3,2'\n")
+
+
+def test_analyze_json_escapes_names_as_json_does(capsys, tmp_path):
+    names = ["caf\u00e9", 'say"hi"', "back\\slash", "\u65e5\u672c", "bell\x07\x7f", "\U0001f600"]
+    communities = ['C"1', "C\\2", "\u00c7\u00e9"]
+    (tmp_path / "e.txt").write_text("".join(f"{a} {b}\n" for a, b in zip(names, names[1:])), encoding="utf-8")
+    (tmp_path / "c.txt").write_text(
+        "".join(f"{name} {communities[i % 3]}\n" for i, name in enumerate(names)), encoding="utf-8"
+    )
+    payload = cmd_analyze(tmp_path / "e.txt", tmp_path / "c.txt", (1, 2, 3))
+    assert set(payload["graph"]["nodes"]) == set(names)
+    text = cli.render_analyze(payload, "json")
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    assert text.isascii()
+    code, out, _ = run(capsys, ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt")])
+    assert (code, out) == (0, text + "\n")
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

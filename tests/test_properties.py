@@ -1,8 +1,9 @@
-"""Randomized invariant checks spanning parser, metrics, thresholds and oracle."""
+"""Randomized invariant checks spanning parser, metrics, thresholds, oracle and the JSON writer."""
 import itertools
+import json
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kintegration import (
@@ -22,6 +23,7 @@ from kintegration import (
     parse_edge_list,
     segregation_verdict,
 )
+from kintegration.cli import _json_dump
 from kintegration.fileio import format_community_map, format_edge_list
 
 import naive
@@ -190,3 +192,29 @@ def test_segregation_verdict_is_sound(seed):
     if verdict.provably_segregated:
         assert not is_k_integrated(g, k).integrated
         assert verdict.reason
+
+
+# every JSON leaf, strings of any code point (quotes, backslashes, control and non-ASCII characters), nan and ±inf too
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner)
+        | st.dictionaries(st.integers(), inner)
+        | st.lists(st.integers(), min_size=1)
+        | st.lists(st.text(), min_size=1).map(tuple)
+        | st.lists(st.booleans() | st.integers(), min_size=1)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+@example({"a": [], "b": {}, "c": (), "d": [[], {}], "": None})
+@example([True, 1, 0, False, [1, True], ["x", '"\\\x00\u00e9']])
+@example({"nan": [float("nan"), float("inf"), -float("inf"), 0.1], "big": [10**30, -1]})
+@settings(max_examples=200, deadline=None)
+def test_json_dump_matches_json_dumps(value):
+    assert _json_dump(value) == json.dumps(value, indent=2, sort_keys=True)
