@@ -31,7 +31,7 @@ from .errors import (
     UnknownNodeError,
     UnsupportedCommunityCountError,
 )
-from .fileio import load_graph, parse_community_map, parse_edge_list, to_dot, write_graph
+from .fileio import load_graph, parse_community_map, parse_edge_list, write_graph
 from .graph import (
     CommunityGraph,
     bridges,
@@ -124,7 +124,6 @@ __all__ = [
     "star_quotient",
     "threshold_row",
     "threshold_rows",
-    "to_dot",
     "two_star",
     "write_graph",
     "__version__",

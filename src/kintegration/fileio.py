@@ -26,7 +26,7 @@ Every writer yields its text by blocks, and ``write_graph`` and
 when the tokens sort in id order (as in every construction), and one
 line per sorted token pair otherwise; ``format_community_map`` one line
 per node; ``dot_blocks`` one cluster or node's edges, each pair in token
-order, which ``to_dot`` joins. No writer builds the graph's edge tuple.
+order. No writer builds the graph's edge tuple.
 """
 
 from __future__ import annotations
@@ -217,8 +217,3 @@ def dot_blocks(g: CommunityGraph, name: str = "network") -> Iterator[str]:
             for v in nbs[bisect.bisect_right(nbs, u) :]
         )
     yield "}\n"
-
-
-def to_dot(g: CommunityGraph, name: str = "network") -> str:
-    """The DOT text, ``dot_blocks`` joined."""
-    return "".join(dot_blocks(g, name))

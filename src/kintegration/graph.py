@@ -84,7 +84,7 @@ class CommunityGraph(Frozen):
 
     Invariant: ``adjacency[u]`` is strictly ascending and excludes u.
     Every producer keeps it; ``bridges``, the twin-class key in ``metrics``,
-    ``fileio.format_edge_list`` and ``fileio.to_dot`` rely on it to split a neighbour tuple
+    ``fileio.format_edge_list`` and ``fileio.dot_blocks`` rely on it to split a neighbour tuple
     at u by bisection instead of sorting or filtering it.
     """
 
@@ -136,9 +136,6 @@ class CommunityGraph(Frozen):
             local_ends += same
             central += same != len(nbs)
         return EdgeCensus(self.edge_count - local_ends // 2, central, local_ends // 2)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
 
 
 def pick(values: Sequence, keys: Sequence[int]) -> Sequence:

@@ -36,9 +36,10 @@ pass are decided exactly: a shortest path uses the new bridge at most
 once, so a source s short in P gains v's (k - 1 - d(s, u))-ball and u's
 (k - 1 - d(s, v))-ball, where d(s, u) is the first layer in which u's
 ball holds s (Ausiello et al., J. Algorithms 1991).  As in the
-refutation, a source short in an ancestor and beyond k - 1 hops of every
-bridge end added since stays short, so each node hands its children its
-rule with the new ends' balls taken out.
+refutation, a source short in a node and beyond k - 1 hops of both ends
+of a child's new bridge stays short in the child, so each node two or
+more bridges short grows its own rule once and hands it to its children
+with the new ends' balls taken out.
 When such a source's whole (k - 1)-ball lies below the node's first u,
 no bridge below the node comes near it and every leaf below is refuted:
 the subtree is counted, not walked.  So is the subtree of a node two or
@@ -50,9 +51,10 @@ leaf below lies inside the completion; a bridge never lengthens a path,
 so no leaf below is k-integrated.  The completion adds only pairs whose
 ends lie at or above the first u, so it refutes every subtree the
 inherited rule does: that rule is its cheap first check, and a parent's
-only one.  Nodes two and three bridges short grow their own balls for
-their children, and a parent only for a leaf the inherited rule leaves
-open; the INFO line counts both, and the subtrees a completion refuted.
+only one.  A node grows its own rule only once neither check refutes
+its subtree, and a parent only for a leaf the inherited rule leaves
+open; the INFO line counts the parents that grew theirs, and the
+subtrees a completion refuted.
 
 Candidate counts grow combinatorially, so the search takes a budget of
 leaves, refuted ones included: a parent counts each u's leaves by
@@ -362,9 +364,9 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
             """Returns True to stop the whole size-m pass.
 
             ``open_`` holds the nodes that may take a bridge and ``ends`` those
-            that hold one.  ``short`` holds the sources short in an ancestor
-            with balls ``near`` and beyond k - 1 hops of every bridge added
-            since, so they are short here.
+            that hold one.  ``short`` holds the sources short in the parent,
+            whose (k-1)-balls are ``near``, and beyond k - 1 hops of both ends
+            of the bridge added since, so they are short here.
             """
             nonlocal examined, found, budget_hit, decided, parents, grown, wholes, held, completed
             left = m - len(chosen)
@@ -382,8 +384,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                 held, examined = held + count, examined + count
                 return budget_hit
             if left > 1:
-                if left < 4:
-                    near, short, _ = inst.leaf_rule(chosen, k)
+                near, short, _ = inst.leaf_rule(chosen, k)
                 for idx, u, v, child in inst.children(start_idx, open_, left):
                     if extend(idx + 1, child, (*chosen, (u, v)), ends | 1 << u | 1 << v, near,
                               short & ~near[u] & ~near[v]):
@@ -414,7 +415,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                     return True
             return False
 
-        extend(0, inst.base, (), 0, inst.community, 0)  # above three bridges short no source is known short
+        extend(0, inst.base, (), 0, inst.community, 0)  # the root has no parent: no source is known short
         sets = examined - before
         rate = sets / max(time.perf_counter() - began, 1e-9)
         log.info("size %d: %d sets, %d refuted without a check, %d decided from the ball layers, "

@@ -608,7 +608,7 @@ def test_generate_dot_writes_the_joined_blocks(capsys, tmp_path):
     argv = ["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "path", "--out", str(out), "--dot"]
     assert run(capsys, argv)[0] == 0
     g = fileio.load_graph(out / "edges.txt", out / "communities.txt")
-    assert (out / "graph.dot").read_bytes() == fileio.to_dot(g).encode()
+    assert (out / "graph.dot").read_bytes() == "".join(fileio.dot_blocks(g)).encode()
 
 
 def test_thresholds_model_violation_exits_1(capsys):

@@ -14,7 +14,6 @@ from kintegration import (
     load_graph,
     parse_community_map,
     parse_edge_list,
-    to_dot,
     write_graph,
 )
 from kintegration import fileio, graph
@@ -79,7 +78,7 @@ def test_files_use_lf_endings(tmp_path, sample_graph):
 
 
 def test_dot_marks_bridges_and_clusters(sample_graph):
-    dot = to_dot(sample_graph, name="sample")
+    dot = "".join(fileio.dot_blocks(sample_graph, name="sample"))
     assert dot.startswith('graph "sample" {')
     assert dot.count("subgraph cluster_") == 3
     assert '"02" -- "12" [color=red, penwidth=2.0];' in dot
@@ -125,7 +124,7 @@ def test_write_graph_builds_no_edge_tuple(tmp_path, monkeypatch):
 
 def test_dot_quotes_awkward_tokens():
     g = build_graph([('he"llo', "wo rld"), ("wo rld", "a\\b")], {'he"llo': "c", "wo rld": "c", "a\\b": "d"})
-    dot = to_dot(g)
+    dot = "".join(fileio.dot_blocks(g))
     assert '"he\\"llo"' in dot
     assert '"wo rld"' in dot
     assert '"a\\\\b" -- "wo rld" [color=red, penwidth=2.0];' in dot
@@ -203,8 +202,8 @@ def test_format_edge_list_matches_token_pair_definition(data):
             [(key(a), key(b)) for a, b in edges], {key(k): k % 3 for k in keys}
         )
         assert "".join(format_edge_list(g)) == _token_pair_reference(g)
-        # to_dot walks the same node blocks; int keys put "10" before "9", so each pair must be reordered
-        assert to_dot(g, name='n"et') == _dot_reference(g, name='n"et')
+        # dot_blocks walks the same node blocks; int keys put "10" before "9", so each pair must be reordered
+        assert "".join(fileio.dot_blocks(g, name='n"et')) == _dot_reference(g, name='n"et')
 
 
 # Loader equivalence: load_graph (one pass over each file) against the

@@ -71,7 +71,7 @@ def test_nodes_without_edges_are_kept():
     g = build_graph([], {"a": "c1", "b": "c2"})
     assert g.node_count == 2
     assert g.edge_count == 0
-    assert g.degree(0) == 0
+    assert len(g.adjacency[0]) == 0
 
 
 def test_sample_structure(sample_graph):
@@ -92,7 +92,7 @@ def test_adjacency_queries(sample_graph):
     assert id_of["12"] not in g.adjacency[id_of["01"]]
     assert g.community_of[id_of["02"]] != g.community_of[id_of["12"]]
     assert g.community_of[id_of["01"]] == g.community_of[id_of["02"]]
-    assert g.degree(id_of["02"]) == 4
+    assert len(g.adjacency[id_of["02"]]) == 4
     assert g.community_sizes == (4, 4, 4)
 
 

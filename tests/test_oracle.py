@@ -87,6 +87,9 @@ PINNED = [
     ((4, 4, 4), 2, None, 143_334, 7, 8, tuple((0, v) for v in range(4, 12))),
     ((4, 4, 4, 4), 3, None, 29_462, 5, 6, ((0, 4), (0, 8), (0, 12), (4, 8), (4, 12), (8, 12))),
     ((4, 4, 4, 4), 2, 300_000, 300_000, 6, None, None),
+    # the README's two rows that exhaust the default budget
+    ((4, 4, 4, 4), 2, None, 2_000_000, 7, None, None),
+    ((5, 5, 5, 5, 5), 3, None, 2_000_000, 6, None, None),
 ]
 
 
@@ -306,12 +309,13 @@ def _count_kernel_calls(monkeypatch) -> dict[str, int]:
 # calls; before whole subtrees were refuted 9,936, 2,004 and 7,988; before subtrees
 # were refuted by their completion 8,516/1,618, 1,964/1,721 and 6,493/0 calls and
 # checks; while a node tested its completion only when it had lost a pair since an
-# ancestor's k-integrated one, 1,224, 176 and 332 tests.  The sets examined and the
-# verdicts stayed the same throughout
+# ancestor's k-integrated one, 1,224, 176 and 332 tests; while only nodes two and
+# three bridges short grew their own balls, 2,632/1,306, 1,518/179 and 60/340 rules
+# and tests.  The sets examined and the verdicts stayed the same throughout
 LEAF_WORK = [
-    ((4, 4, 4), 2, None, 2_632, 538, 1_306),
-    ((4, 4, 4, 4), 3, None, 1_518, 1_216, 179),
-    ((4, 4, 4, 4), 2, 300_000, 60, 0, 340),
+    ((4, 4, 4), 2, None, 2_681, 538, 1_148),
+    ((4, 4, 4, 4), 3, None, 1_525, 1_216, 175),
+    ((4, 4, 4, 4), 2, 300_000, 82, 0, 252),
 ]
 
 
@@ -341,16 +345,16 @@ INFO_COUNTS = {
         (2, 7, 7, 0, 1, 7, 1, 0, 0, 7, 2_000_000),
         (3, 49, 49, 0, 1, 49, 1, 0, 0, 56, 2_000_000),
         (4, 367, 367, 0, 7, 367, 5, 0, 0, 423, 2_000_000),
-        (5, 2_706, 2_706, 0, 36, 2_587, 19, 8, 14, 3_129, 2_000_000),
-        (6, 18_815, 18_805, 10, 399, 15_744, 106, 196, 404, 21_944, 2_000_000),
-        (7, 121_389, 120_862, 527, 3_728, 92_134, 655, 1_957, 4_424, 143_333, 2_000_000),
+        (5, 2_706, 2_706, 0, 36, 2_587, 17, 8, 14, 3_129, 2_000_000),
+        (6, 18_815, 18_805, 10, 399, 15_744, 88, 196, 404, 21_944, 2_000_000),
+        (7, 121_389, 120_862, 527, 3_728, 92_134, 517, 1_957, 4_424, 143_333, 2_000_000),
         (8, 1, 0, 1, 0, 0, 0, 1, 1, 143_334, 2_000_000),
     ],
     ((4, 4, 4, 4), 3): [
         (3, 75, 73, 2, 2, 10, 0, 6, 8, 75, 2_000_000),
         (4, 774, 752, 22, 13, 151, 1, 48, 58, 849, 2_000_000),
-        (5, 8_144, 7_855, 289, 104, 2_307, 20, 408, 482, 8_993, 2_000_000),
-        (6, 20_469, 19_566, 903, 215, 4_840, 40, 945, 1_105, 29_462, 2_000_000),
+        (5, 8_144, 7_855, 289, 104, 2_307, 18, 408, 482, 8_993, 2_000_000),
+        (6, 20_469, 19_566, 903, 215, 4_840, 38, 945, 1_105, 29_462, 2_000_000),
     ],
 }
 
