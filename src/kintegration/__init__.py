@@ -30,8 +30,8 @@ _EXPORTS = {
                 "is_k_integrated"),
     "oracle": ("OracleVerdict", "RowCheck", "check_threshold_row", "min_bridges_exhaustive", "min_bridges_for_sizes",
                "min_bridges_randomized"),
-    "thresholds": ("Bound", "SegregationVerdict", "ThresholdRow", "bridge_threshold", "central_threshold",
-                   "pair_bridge_minimum", "segregation_verdict", "threshold_row", "threshold_rows"),
+    "thresholds": ("Bound", "ThresholdRow", "bridge_threshold", "central_threshold", "pair_bridge_minimum",
+                   "segregation_verdict", "threshold_row", "threshold_rows"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

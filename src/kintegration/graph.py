@@ -27,7 +27,8 @@ log = logging.getLogger(__name__)
 
 Edge = tuple[int, int]
 
-# the one cap on a graph built beyond the input: a generated one takes up to ~65 B an edge, ~0.65 GB at the cap
+# the one cap on a graph built beyond the input: a generated one takes ~65 B an edge for the complete join,
+# ~0.65 GB at the cap, and ~215 B for an extended star on a complete quotient (README has the measured figures)
 MAX_EDGES = 10_000_000
 
 

@@ -40,16 +40,19 @@ MAX_CLASSES = 60_000
 
 
 class KVerdict(NamedTuple):
-    """Outcome of an is-k-integrated check.
+    """Outcome of an is-k-integrated check, read from its witness.
 
-    ``witness`` is present iff ``integrated`` is false: a concrete pair
-    at distance > k, or an unreachable pair (``witness_distance`` None).
+    ``witness`` is None iff the graph is k-integrated, else a concrete
+    pair at distance > k, or an unreachable one (``witness_distance`` None).
     """
 
     k: int
-    integrated: bool
     witness: Edge | None = None
     witness_distance: int | None = None
+
+    @property
+    def integrated(self) -> bool:
+        return self.witness is None
 
 
 class IntegrationReport(NamedTuple):
@@ -247,7 +250,7 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     verdicts: dict[int, KVerdict] = {}
     for k, found in violations.items():
         if found is None:
-            verdicts[k] = KVerdict(k=k, integrated=True)
+            verdicts[k] = KVerdict(k)
             continue
         ci, cj = found
         members = q.classes[ci]
@@ -259,7 +262,7 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
             if k == 0 and len(members) > 1:
                 candidates.append((members[1], 1))
             target, distance = min(candidates)
-        verdicts[k] = KVerdict(k=k, integrated=False, witness=(members[0], target), witness_distance=distance)
+        verdicts[k] = KVerdict(k, (members[0], target), distance)
     log.info("distance kernel: %d classes, closed after %d rounds, k* %s, %d distinct witness sources, %.3f s",
              len(balls), level, k_star, len({found[0] for found in violations.values() if found is not None}),
              time.perf_counter() - started)

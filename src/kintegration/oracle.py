@@ -93,23 +93,26 @@ Rule = tuple[list[int], int, list[list[int]]]
 
 
 class OracleVerdict(NamedTuple):
-    """Outcome of an exhaustive minimum-bridge search.
+    """Outcome of an exhaustive minimum-bridge search, read from its witness.
 
-    ``min_bridges`` is None when the budget ran out first; then
-    ``exhausted_size`` is the largest candidate-set size fully proven
-    infeasible.
+    ``witness`` is a smallest feasible bridge set, or None when the budget
+    ran out first; then ``exhausted_size`` is the largest candidate-set
+    size fully proven infeasible.
     """
 
     sizes: tuple[int, ...]
-    min_bridges: int | None
     witness: tuple[Edge, ...] | None
     sets_examined: int
     exhausted_size: int | None
 
     @property
+    def min_bridges(self) -> int | None:
+        return None if self.witness is None else len(self.witness)
+
+    @property
     def certified(self) -> bool:
         """True only when the minimum is exact."""
-        return self.min_bridges is not None
+        return self.witness is not None
 
 
 class RowCheck(NamedTuple):
@@ -315,7 +318,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     ordered = tuple(sorted(sizes))
     if len(ordered) == 1:
         # one complete community has diameter at most 1 already
-        return OracleVerdict(ordered, 0, (), 0, None)
+        return OracleVerdict(ordered, (), 0, None)
     inst = _instance(ordered)
     if k == 1:
         # diameter <= 1 means complete, so every cross pair must be
@@ -323,7 +326,7 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
         witness = inst.universe
         if not inst.is_k_integrated(witness, 1):
             raise AssertionError("internal: complete join failed its own check")
-        return OracleVerdict(ordered, len(witness), witness, 1, None)
+        return OracleVerdict(ordered, witness, 1, None)
 
     universe = inst.universe
     last = len(universe)
@@ -423,11 +426,11 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
                  "%d of %d parents grew their own balls, %.0f sets/s, budget %d of %d used",
                  m, sets, sets - decided, decided, wholes, held, completed, grown, parents, rate, examined, budget)
         if found is not None:
-            return OracleVerdict(ordered, m, found, examined, m - 1)
+            return OracleVerdict(ordered, found, examined, m - 1)
         if budget_hit:
-            return OracleVerdict(ordered, None, None, examined, m - 1)
+            return OracleVerdict(ordered, None, examined, m - 1)
     # unreachable for k >= 1: the full cross set is always feasible
-    return OracleVerdict(ordered, None, None, examined, last)
+    return OracleVerdict(ordered, None, examined, last)
 
 
 def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:

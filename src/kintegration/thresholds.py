@@ -19,9 +19,9 @@ Every other function and caller reads whole rows from it.
 These are necessary conditions: a network below either count is
 provably k-segregated, but meeting both proves nothing, so integration
 still has to be confirmed by measurement. That test is written once, as
-``ThresholdRow.shortfall``, which ``segregation_verdict``, ``analyze``'s
-threshold section and ``certify``'s agreement rule all call. Counts grow
-quadratically (B_1 is ~28 million already at r=8, n=1000).
+``ThresholdRow.shortfall``: ``segregation_verdict`` returns its reason,
+and ``analyze``'s threshold section and ``certify``'s agreement rule
+call it. Counts grow quadratically (B_1 is ~28 million at r=8, n=1000).
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ class Bound(NamedTuple("Bound", [("lower", int), ("upper", int)])):
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-
-class SegregationVerdict(NamedTuple):
-    """Either provably segregated (with the failed count as reason) or undetermined."""
-
-    provably_segregated: bool
-    reason: str | None = None
 
 
 class ThresholdRow(NamedTuple):
@@ -131,12 +124,11 @@ def model_shape(g: CommunityGraph) -> tuple[int, int]:
     return r, n
 
 
-def segregation_verdict(g: CommunityGraph, k: int) -> SegregationVerdict:
+def segregation_verdict(g: CommunityGraph, k: int) -> str | None:
     """Counting verdict for a strict-model graph: the k row's shortfall of its census counts.
 
-    ProvablySegregated with the row's reason when a count falls short;
-    NotDetermined otherwise (the conditions are necessary, never
-    sufficient, so a NotDetermined graph still needs measuring).
+    The row's reason when a count falls short, so the graph is provably
+    k-segregated; None otherwise (the conditions are necessary, never
+    sufficient, so such a graph still needs measuring).
     """
-    reason = threshold_row(*model_shape(g), k).shortfall(g.census.bridge_count, g.census.central_count)
-    return SegregationVerdict(reason is not None, reason)
+    return threshold_row(*model_shape(g), k).shortfall(g.census.bridge_count, g.census.central_count)

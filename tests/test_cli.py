@@ -296,7 +296,7 @@ def test_certify_budget_exhaustion_exits_2(capsys):
 def test_certify_disagreement_exits_3(capsys, monkeypatch):
     # fabricate an oracle that contradicts the table
     fake_verdict = OracleVerdict(
-        sizes=(2, 2), min_bridges=1, witness=((0, 2),), sets_examined=7, exhausted_size=0,
+        sizes=(2, 2), witness=((0, 2),), sets_examined=7, exhausted_size=0,
     )
     fake_row = RowCheck(verdict=fake_verdict, agrees=False)
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
@@ -549,6 +549,19 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
         code, out, err = run(capsys, ["certify", "-r", "100000000", "-n", "100000000", "--k", "1", "--mode", mode])
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("error: 100000000 communities of 10000000000000000 nodes give ")
+
+
+def test_unknown_family_and_mode_are_refused_by_the_functions_too(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    # argparse's choices keep the CLI from these; the functions refuse them themselves
+    with pytest.raises(InvalidParamsError, match=re.escape("unknown family 'wheel'")):
+        cli.build_construction("wheel", 3, 2)
+    for name in ("check_threshold_row", "min_bridges_randomized", "min_bridges_for_sizes", "_instance"):
+        monkeypatch.setattr(cli.oracle, name, never)
+    with pytest.raises(InvalidParamsError, match=re.escape("unknown mode 'bogus'")):
+        cli.cmd_certify(2, 2, (2,), mode="bogus")
 
 
 def test_star_path_and_cycle_quotients_over_the_class_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):

@@ -189,9 +189,9 @@ def test_segregation_verdict_is_sound(seed):
     g = islands(r, n, bridges)
     k = rng.randint(1, 4)
     verdict = segregation_verdict(g, k)
-    if verdict.provably_segregated:
+    if verdict is not None:
         assert not is_k_integrated(g, k).integrated
-        assert verdict.reason
+        assert verdict
 
 
 # every JSON leaf, strings of any code point (quotes, backslashes, control and non-ASCII characters), nan and ±inf too

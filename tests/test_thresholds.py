@@ -6,7 +6,6 @@ from kintegration import (
     Bound,
     InvalidParamsError,
     ModelViolationError,
-    SegregationVerdict,
     ThresholdRow,
     bridge_threshold,
     central_threshold,
@@ -150,7 +149,7 @@ def test_every_judge_of_the_counts_agrees_with_shortfall():
                     g = islands(r, n, witness)
                     for row in threshold_rows(r, n, r + 2):
                         reason = row.shortfall(size, ends)
-                        assert segregation_verdict(g, row.k) == SegregationVerdict(reason is not None, reason)
+                        assert segregation_verdict(g, row.k) == reason
                         assert fits_row(row, witness, exact=False) is (reason is None)
                         assert fits_row(row, witness, exact=True) is (reason is None and size <= row.bridges.upper)
 
@@ -165,23 +164,17 @@ def test_pair_bridge_minimum():
 
 def test_segregation_verdict_flags_bridge_deficit():
     g = islands(3, 3, [(0, 3), (0, 6)])  # 2 bridges, B_2 = 6
-    verdict = segregation_verdict(g, 2)
-    assert verdict.provably_segregated
-    assert "bridge count 2" in verdict.reason
+    assert segregation_verdict(g, 2) == "bridge count 2 is below the k=2 requirement 6"
 
 
 def test_segregation_verdict_flags_central_deficit():
     # 9 bridges clear B_2=6 but touch only 6 nodes, below C_2=7
     g = islands(3, 3, [(u, v) for u in range(3) for v in range(3, 6)])
-    verdict = segregation_verdict(g, 2)
-    assert verdict.provably_segregated
-    assert "central-node count 6" in verdict.reason
+    assert segregation_verdict(g, 2) == "central-node count 6 is below the k=2 requirement 7"
 
 
 def test_segregation_verdict_not_determined(sample_graph):
-    verdict = segregation_verdict(sample_graph, 4)
-    assert not verdict.provably_segregated
-    assert verdict.reason is None
+    assert segregation_verdict(sample_graph, 4) is None
 
 
 def test_segregation_verdict_requires_model():

@@ -1,31 +1,31 @@
-"""The ten value types: construction, repr, equality, hash and immutability.
+"""The nine value types: construction, repr, equality, hash and immutability.
 
-Seven records and ``Bound`` are NamedTuples; ``CommunityGraph`` and
+Six records and ``Bound`` are NamedTuples; ``CommunityGraph`` and
 ``QuotientGraph`` are ``graph.Frozen`` classes, which keep an instance
 ``__dict__`` for their cached properties.
 """
 
 import pytest
 
+import kintegration
 from kintegration import InvalidParamsError
 from kintegration.constructions import Construction, QuotientGraph
 from kintegration.graph import CommunityGraph, EdgeCensus, Frozen
 from kintegration.metrics import IntegrationReport, KVerdict
 from kintegration.oracle import OracleVerdict, RowCheck
-from kintegration.thresholds import Bound, SegregationVerdict, ThresholdRow
+from kintegration.thresholds import Bound, ThresholdRow
 
 PATH = CommunityGraph(((1,), (0, 2), (1,)), (0, 0, 1), ("a", "b", "c"), ("x", "y"))
 PATH_REPR = (
     "CommunityGraph(adjacency=((1,), (0, 2), (1,)), community_of=(0, 0, 1),"
     " tokens=('a', 'b', 'c'), community_tokens=('x', 'y'))"
 )
-VERDICT = OracleVerdict((2, 2), 2, ((0, 2), (1, 3)), 5, 1)
-VERDICT_REPR = "OracleVerdict(sizes=(2, 2), min_bridges=2, witness=((0, 2), (1, 3)), sets_examined=5, exhausted_size=1)"
+VERDICT = OracleVerdict((2, 2), ((0, 2), (1, 3)), 5, 1)
+VERDICT_REPR = "OracleVerdict(sizes=(2, 2), witness=((0, 2), (1, 3)), sets_examined=5, exhausted_size=1)"
 
 # (type, field values, the same type with one value changed, repr)
 CASES = [
     (Bound, (3, 6), (3, 7), "Bound(lower=3, upper=6)"),
-    (SegregationVerdict, (True, "why"), (False, None), "SegregationVerdict(provably_segregated=True, reason='why')"),
     (
         ThresholdRow,
         (4, Bound(3, 6), 4),
@@ -34,18 +34,18 @@ CASES = [
     ),
     (
         KVerdict,
-        (1, False, (0, 2), 2),
-        (1, False, (0, 2), None),
-        "KVerdict(k=1, integrated=False, witness=(0, 2), witness_distance=2)",
+        (1, (0, 2), 2),
+        (1, (0, 2), None),
+        "KVerdict(k=1, witness=(0, 2), witness_distance=2)",
     ),
     (
         IntegrationReport,
-        (2, (KVerdict(2, True),), {1: (2, 3, 2)}),
-        (2, (KVerdict(2, True),), {1: (2, 3, 3)}),
-        "IntegrationReport(k_star=2, per_k=(KVerdict(k=2, integrated=True, witness=None, witness_distance=None),),"
+        (2, (KVerdict(2),), {1: (2, 3, 2)}),
+        (2, (KVerdict(2),), {1: (2, 3, 3)}),
+        "IntegrationReport(k_star=2, per_k=(KVerdict(k=2, witness=None, witness_distance=None),),"
         " reach_profile={1: (2, 3, 2)})",
     ),
-    (OracleVerdict, VERDICT[:], (*VERDICT[:4], 2), VERDICT_REPR),
+    (OracleVerdict, VERDICT[:], (*VERDICT[:3], 2), VERDICT_REPR),
     (RowCheck, (VERDICT, True), (VERDICT, None), f"RowCheck(verdict={VERDICT_REPR}, agrees=True)"),
     (
         Construction,
@@ -67,7 +67,11 @@ RECORDS = [case for case in CASES if issubclass(case[0], tuple)]
 
 
 def test_every_type_is_a_record_or_frozen():
-    assert len(FROZEN) == 2 and len(RECORDS) == 8
+    # one row per exported record or frozen type: adding or removing one without its row fails here
+    exported = [getattr(kintegration, name) for name in kintegration.__all__]
+    kinds = (tuple, Frozen)
+    wanted = {t for t in exported if isinstance(t, type) and issubclass(t, kinds) and not issubclass(t, BaseException)}
+    assert len(CASES) == len(wanted) and {case[0] for case in CASES} == wanted
 
 
 @pytest.mark.parametrize("cls, values, other, text", CASES, ids=IDS)
@@ -78,8 +82,17 @@ def test_built_by_position_or_keyword_alike(cls, values, other, text):
 
 
 def test_defaults():
-    assert KVerdict(2, True) == KVerdict(2, True, None, None)
-    assert SegregationVerdict(False).reason is None
+    assert KVerdict(2) == KVerdict(2, None, None)
+
+
+def test_verdicts_are_read_from_the_witness():
+    assert KVerdict(2).integrated and not KVerdict(2, (0, 5), 3).integrated and not KVerdict(2, (0, 5)).integrated
+    for witness, minimum in ((VERDICT.witness, 2), ((), 0), (None, None)):
+        verdict = VERDICT._replace(witness=witness)
+        assert (verdict.min_bridges, verdict.certified) == (minimum, witness is not None)
+    for item, name in ((KVerdict(2), "integrated"), (VERDICT, "min_bridges"), (VERDICT, "certified")):
+        with pytest.raises(AttributeError):
+            setattr(item, name, None)
 
 
 @pytest.mark.parametrize("cls, values, other, text", CASES, ids=IDS)
