@@ -95,6 +95,27 @@ def test_verdicts_are_read_from_the_witness():
             setattr(item, name, None)
 
 
+# (type, its evidence, a verdict read from it, that verdict's value)
+DERIVED = [
+    (Bound, (3, 3), "exact", True),
+    (KVerdict, (2, (0, 5), 3), "integrated", False),
+    (OracleVerdict, VERDICT[:], "min_bridges", 2),
+    (OracleVerdict, VERDICT[:], "certified", True),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, name, value", DERIVED, ids=[f"{case[0].__name__}.{case[2]}" for case in DERIVED]
+)
+def test_a_derived_verdict_cannot_be_given_at_build(cls, values, name, value):
+    # so no record says two things at once, as KVerdict(2, True, (0, 5), 3) could when it stored both
+    assert name not in cls._fields and getattr(cls(*values), name) == value
+    with pytest.raises(TypeError):
+        cls(*values, **{name: not value})
+    with pytest.raises(TypeError):
+        cls(*values, value)
+
+
 @pytest.mark.parametrize("cls, values, other, text", CASES, ids=IDS)
 def test_repr_names_every_field(cls, values, other, text):
     assert repr(cls(*values)) == text
