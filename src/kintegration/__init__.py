@@ -20,14 +20,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constructions": ("Construction", "QuotientGraph", "complete_join", "complete_quotient", "cycle_quotient",
                       "extended_star", "figure1_quotient", "path_quotient", "star_quotient", "two_star"),
-    "errors": ("DisconnectedQuotientError", "EmptyCommunityMapError", "InvalidNodeError", "InvalidParamsError",
-               "KIntegrationError", "ModelViolationError", "ParseError", "SelfLoopError", "UnknownNodeError",
-               "UnsupportedCommunityCountError"),
+    "errors": ("DisconnectedQuotientError", "EmptyCommunityMapError", "InvalidParamsError", "KIntegrationError",
+               "ModelViolationError", "ParseError", "SelfLoopError", "UnknownNodeError", "UnsupportedCommunityCountError"),
     "fileio": ("load_graph", "parse_community_map", "parse_edge_list", "write_graph"),
     "graph": ("CommunityGraph", "bridges", "build_graph", "central_nodes", "is_locally_complete", "local_edges",
               "localize_complete"),
-    "metrics": ("IntegrationReport", "KVerdict", "bounded_bfs", "build_report", "eccentricity", "integration_level",
-                "is_k_integrated"),
+    "metrics": ("IntegrationReport", "KVerdict", "build_report", "integration_level", "is_k_integrated"),
     "oracle": ("OracleVerdict", "RowCheck", "check_threshold_row", "min_bridges_exhaustive", "min_bridges_for_sizes",
                "min_bridges_randomized"),
     "thresholds": ("Bound", "ThresholdRow", "bridge_threshold", "central_threshold", "pair_bridge_minimum",

@@ -24,12 +24,6 @@ class EmptyCommunityMapError(KIntegrationError):
         super().__init__("community map is empty; every node needs a community")
 
 
-class InvalidNodeError(KIntegrationError):
-    def __init__(self, node: object):
-        super().__init__(f"node id {node!r} is not in this graph")
-        self.node = node
-
-
 class InvalidParamsError(KIntegrationError):
     pass
 

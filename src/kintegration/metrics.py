@@ -19,8 +19,7 @@ which ``integration_level``, ``is_k_integrated`` and
 ``QuotientGraph.diameter`` read. The reported witness is always the one
 from the lowest-numbered violating source, and its distance is read
 from the rounds too: the first level whose ball around the source holds
-the target. ``bounded_bfs`` is the one single-source BFS, and
-``eccentricity`` reads it.
+the target.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidNodeError, KIntegrationError, require_int
+from .errors import KIntegrationError, require_int
 from .graph import CommunityGraph, Edge
 
 log = logging.getLogger(__name__)
@@ -61,36 +60,6 @@ class IntegrationReport(NamedTuple):
     k_star: int | None
     per_k: tuple[KVerdict, ...]
     reach_profile: dict[int, tuple[int, ...]]
-
-
-def _check_source(g: CommunityGraph, source: int) -> None:
-    if not isinstance(source, int) or isinstance(source, bool) or not 0 <= source < g.node_count:
-        raise InvalidNodeError(source)
-
-
-def bounded_bfs(g: CommunityGraph, source: int, k: int) -> dict[int, int]:
-    """Distances of exactly the nodes within k hops of ``source``, in node order."""
-    _check_source(g, source)
-    require_int("k", k, 0)
-    dist = [-1] * g.node_count
-    dist[source] = 0
-    frontier, level = [source], 0
-    while frontier and level < k:
-        level += 1
-        reached = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = level
-                    reached.append(v)
-        frontier = reached
-    return {v: d for v, d in enumerate(dist) if d >= 0}
-
-
-def eccentricity(g: CommunityGraph, source: int) -> int | None:
-    """Max distance from ``source``; None when some node is unreachable."""
-    dist = bounded_bfs(g, source, g.node_count)
-    return max(dist.values()) if len(dist) == g.node_count else None
 
 
 def _ball_levels(adjacency: Sequence[Sequence[int]]) -> Iterator[list[int]]:

@@ -54,11 +54,10 @@ def diameter(node_count, edges):
     return worst
 
 
-def eccentricity(node_count, edges, source):
-    dist = relaxation_distances(node_count, edges)[source]
-    if any(d is None for d in dist):
-        return None
-    return max(dist)
+def reach_profile(node_count, edges, ks):
+    """Per k, how many nodes lie within distance k of each node, itself included."""
+    dist = relaxation_distances(node_count, edges)
+    return {k: tuple(sum(1 for d in row if d is not None and d <= k) for row in dist) for k in ks}
 
 
 def is_k_integrated(node_count, edges, k):

@@ -7,9 +7,9 @@ from kintegration import (
     Bound,
     OracleVerdict,
     RowCheck,
-    bounded_bfs,
     bridge_threshold,
     bridges,
+    build_report,
     central_nodes,
     central_threshold,
     cli,
@@ -125,14 +125,12 @@ def test_criterion_5_property_suites():
             u, v = rng.choice(non_edges)
             assert integration_level(add_edge(g, u, v)) <= k_star
 
-    # (b) bounded BFS agrees with the iterative-relaxation reference
+    # (b) the kernel's reach counts agree with the iterative-relaxation reference
     rng = random.Random(52)
     for _ in range(100):
         g = random_community_graph(rng, max_nodes=50, connected=rng.random() < 0.7)
-        dist = naive.relaxation_distances(g.node_count, id_edges(g))
-        for source in range(g.node_count):
-            expected = {v: d for v, d in enumerate(dist[source]) if d is not None}
-            assert bounded_bfs(g, source, g.node_count) == expected
+        ks = range(1, g.node_count + 1)
+        assert build_report(g, ks).reach_profile == naive.reach_profile(g.node_count, id_edges(g), ks)
 
     # (c) minimal constructions lose k-integration when any one bridge goes
     for r in range(2, 5):

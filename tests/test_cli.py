@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -34,9 +35,11 @@ def test_thresholds_matches_golden(capsys, golden_dir):
 
 
 def test_certify_matches_golden(capsys, golden_dir):
-    code, out, _ = run(capsys, ["certify", "-r", "2", "-n", "2", "--k", "1,2,3"])
-    assert code == 0
-    assert out == (golden_dir / "certify_r2_n2.json").read_text()
+    # without --k, certify answers the default levels 1, 2 and 3
+    for levels in (["--k", "1,2,3"], []):
+        code, out, _ = run(capsys, ["certify", "-r", "2", "-n", "2", *levels])
+        assert code == 0
+        assert out == (golden_dir / "certify_r2_n2.json").read_text()
 
 
 @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("csv", "csv"), ("text", "txt")])
@@ -233,6 +236,16 @@ def test_analyze_json_escapes_names_as_json_does(capsys, tmp_path):
     assert text.isascii()
     code, out, _ = run(capsys, ["analyze", "--edges", str(tmp_path / "e.txt"), "--communities", str(tmp_path / "c.txt")])
     assert (code, out) == (0, text + "\n")
+
+
+def test_json_dump_joins_lists_of_plain_ints_and_strs_without_json_dumps(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("json.dumps rendered a list of plain ints or strs")
+
+    payload = {"ids": [3, 1, 2], "names": ["caf\u00e9", 'say"hi"'], "rows": [[1, 2], ["b"]]}
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    monkeypatch.setattr(cli.json, "dumps", never)
+    assert cli._json_dump(payload) == expected
 
 
 def test_help_exits_0(capsys):
@@ -481,13 +494,15 @@ def test_generate_dot_builds_no_edge_tuple(capsys, tmp_path, monkeypatch):
     assert dot.count(" -- ") == 4 * 3 + 3 and dot.count("penwidth=2.0") == 3
 
 
-def test_generate_rejects_bad_quotient(capsys):
-    assert main(["generate", "--family", "extended-star", "-r", "5", "-n", "5", "--quotient", "figure1:4", "--out", "/tmp/x"]) == 1
+def test_generate_rejects_bad_quotient(capsys, tmp_path):
+    assert main(["generate", "--family", "extended-star", "-r", "5", "-n", "5", "--quotient", "figure1:4", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
-    assert main(["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "nope", "--out", "/tmp/x"]) == 1
+    assert main(["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "nope", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
-    assert main(["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "figure1:x", "--out", "/tmp/x"]) == 1
+    assert main(["generate", "--family", "extended-star", "-r", "3", "-n", "3", "--quotient", "figure1:x", "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+    argv = ["generate", "--family", "extended-star", "-r", "8", "-n", "2", "--quotient", "figure1:4:5", "--out", str(tmp_path)]
+    assert run(capsys, argv) == (1, "", "error: figure1 level must be an integer, got '4:5'\n")
 
 
 def test_thresholds_kmax_is_bounded(capsys):
@@ -549,6 +564,30 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
         code, out, err = run(capsys, ["certify", "-r", "100000000", "-n", "100000000", "--k", "1", "--mode", mode])
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("error: 100000000 communities of 10000000000000000 nodes give ")
+
+
+@pytest.mark.parametrize(
+    "module,limit,size,argv",
+    [
+        # a1..a3 miss two local pairs
+        pytest.param(graph, "MAX_EDGES", 2, ["analyze", "--edges", "{tmp}/e.txt", "--communities", "{tmp}/c.txt", "--localize"],
+                     id="localize"),
+        # 2 local edges and 2 bridges
+        pytest.param(constructions, "MAX_EDGES", 4, ["generate", "--family", "two-star", "-r", "2", "-n", "2", "--out", "{tmp}"],
+                     id="generate"),
+        pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 27, ["certify", "-r", "3", "-n", "3", "--k", "2"], id="certify"),
+    ],
+)
+def test_each_size_cap_admits_a_request_exactly_at_its_limit(capsys, tmp_path, monkeypatch, module, limit, size, argv):
+    (tmp_path / "e.txt").write_text("a1 a3\na1 b1\nb1 b2\n")
+    (tmp_path / "c.txt").write_text("a1 A\na2 A\na3 A\nb1 B\nb2 B\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    monkeypatch.setattr(module, limit, size)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(module, limit, size - 1)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: ") and err.endswith(f" more than the limit of {size - 1}\n")
 
 
 def test_unknown_family_and_mode_are_refused_by_the_functions_too(monkeypatch):
@@ -669,6 +708,17 @@ def test_log_level_env_is_tolerated(capsys, monkeypatch):
     monkeypatch.setenv("KINTEGRATION_LOG_LEVEL", "not-a-level")
     assert main(["thresholds", "-r", "2", "-n", "2", "--format", "text"]) == 0
     capsys.readouterr()
+
+
+def test_log_level_env_turns_on_the_info_lines_on_stderr_only():
+    # a fresh process: in-process, pytest's own log handlers make basicConfig a no-op
+    argv = [sys.executable, "-m", "kintegration", "analyze", *SAMPLE]
+    env = {name: value for name, value in os.environ.items() if name != "KINTEGRATION_LOG_LEVEL"}
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
+    loud = subprocess.run(argv, capture_output=True, text=True, env={**env, "KINTEGRATION_LOG_LEVEL": "INFO"})
+    assert (quiet.returncode, quiet.stderr) == (0, "")
+    assert (loud.returncode, loud.stdout) == (0, quiet.stdout)
+    assert any(line.startswith("INFO kintegration.metrics: distance kernel:") for line in loud.stderr.splitlines())
 
 
 def test_module_entry_point():

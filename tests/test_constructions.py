@@ -17,6 +17,7 @@ from kintegration import (
     path_quotient,
     star_quotient,
     two_star,
+    write_graph,
 )
 
 
@@ -142,11 +143,23 @@ def test_claims_match_measurements_on_small_instances():
                 assert claimed == (len(bridges(g)), len(central_nodes(g)), integration_level(g)), (built.family, r, n)
 
 
-def test_tokens_are_zero_padded_in_layout_order():
+def test_tokens_are_zero_padded_in_layout_order(tmp_path):
     g = extended_star(4, 3, star_quotient(4)).graph
     assert g.tokens == tuple(str(u).zfill(2) for u in range(12))
     assert g.community_tokens == ("0", "1", "2", "3")
     assert g.community_of == tuple(u // 3 for u in range(12))
+    # the widths at their boundaries: ten names fit one digit, eleven need two
+    ten, eleven = tuple(map(str, range(10))), tuple(str(u).zfill(2) for u in range(11))
+    g = two_star(10, 1).graph
+    assert (g.tokens, g.community_tokens) == (ten, ten)
+    g = two_star(11, 1).graph
+    assert (g.tokens, g.community_tokens) == (eleven, eleven)
+    g = complete_join(1, 11).graph
+    assert (g.tokens, g.community_tokens) == (eleven, ("0",))
+    g = complete_join(1, 1).graph
+    assert (g.tokens, g.community_tokens) == (("0",), ("0",))
+    write_graph(two_star(11, 1).graph, tmp_path / "edges.txt", tmp_path / "communities.txt")
+    assert (tmp_path / "communities.txt").read_text() == "".join(f"{u} {u}\n" for u in eleven)
 
 
 def test_figure1_extended_star_levels():

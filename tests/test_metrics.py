@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kintegration import (
-    InvalidNodeError,
     KIntegrationError,
     InvalidParamsError,
-    bounded_bfs,
     build_graph,
     build_report,
     complete_join,
-    eccentricity,
     extended_star,
     integration_level,
     is_k_integrated,
@@ -30,54 +27,6 @@ import naive
 from helpers import islands, random_community_graph
 
 # token ids in the sample graph: communities occupy 0-3, 4-7, 8-11
-
-
-def test_bounded_bfs_sample(sample_graph):
-    id_of = {t: i for i, t in enumerate(sample_graph.tokens)}
-    dist = bounded_bfs(sample_graph, id_of["01"], 2)
-    # 01 reaches its own community at 1 and bridge endpoint 12 at 2
-    assert dist[id_of["01"]] == 0
-    assert dist[id_of["02"]] == 1
-    assert dist[id_of["12"]] == 2
-    assert id_of["11"] not in dist
-    assert len(dist) == 5
-
-
-def test_bounded_bfs_matches_naive(sample_graph):
-    edges = list(sample_graph.edges)
-    rows = naive.relaxation_distances(sample_graph.node_count, edges)
-    for source in range(sample_graph.node_count):
-        full = bounded_bfs(sample_graph, source, sample_graph.node_count)
-        expected = {v: d for v, d in enumerate(rows[source]) if d is not None}
-        assert full == expected
-        assert list(full) == list(expected)
-
-
-def test_bounded_bfs_validates_arguments(sample_graph):
-    with pytest.raises(InvalidNodeError):
-        bounded_bfs(sample_graph, 99, 2)
-    with pytest.raises(InvalidParamsError):
-        bounded_bfs(sample_graph, 0, -1)
-
-
-@pytest.mark.parametrize("source", [99, -1, 1.0, "0", None, True, False], ids=repr)
-def test_bad_sources_are_refused(sample_graph, source):
-    # a bool is an int, but not a node id: True would answer for node 1
-    with pytest.raises(InvalidNodeError):
-        bounded_bfs(sample_graph, source, 2)
-    with pytest.raises(InvalidNodeError):
-        eccentricity(sample_graph, source)
-
-
-def test_eccentricity_sample(sample_graph):
-    id_of = {t: i for i, t in enumerate(sample_graph.tokens)}
-    assert eccentricity(sample_graph, id_of["01"]) == 5
-    assert eccentricity(sample_graph, id_of["12"]) == 3
-
-
-def test_eccentricity_disconnected_is_none():
-    g = build_graph([(0, 1)], {0: "a", 1: "a", 2: "b"})
-    assert eccentricity(g, 0) is None
 
 
 def test_integration_level_sample(sample_graph):
@@ -148,18 +97,15 @@ def test_witness_matches_naive_rule_on_random_graphs():
     graphs += [_random_islands(rng) for _ in range(40)]
     for g in graphs:
         edges = list(g.edges)
-        rows = naive.relaxation_distances(g.node_count, edges)
         ks = (0, 1, 2, 3, g.node_count)
         report = build_report(g, ks)
         assert report.k_star == naive.diameter(g.node_count, edges)
         assert [v.k for v in report.per_k] == list(ks)
+        assert report.reach_profile == naive.reach_profile(g.node_count, edges, ks)
         for k, row in zip(ks, report.per_k):
             expected = naive.violation_witness(g.node_count, edges, k)
             _assert_witness(row, expected)
             _assert_witness(is_k_integrated(g, k), expected)
-            assert report.reach_profile[k] == tuple(
-                sum(1 for d in dist if d is not None and d <= k) for dist in rows
-            )
 
 
 def test_twin_classes_are_the_closed_neighborhood_groups():
@@ -184,14 +130,23 @@ def test_build_report_sample(sample_graph):
     assert report.reach_profile[5] == (12,) * 12
 
 
+def test_eccentricity_is_the_first_full_reach_count(sample_graph):
+    # a node's eccentricity is the least k whose reach count is the node count
+    id_of = {t: i for i, t in enumerate(sample_graph.tokens)}
+    n = sample_graph.node_count
+    profile = build_report(sample_graph, range(n + 1)).reach_profile
+    assert min(k for k in profile if profile[k][id_of["01"]] == n) == 5
+    assert min(k for k in profile if profile[k][id_of["12"]] == n) == 3
+    assert profile[1][id_of["01"]] == 4 and profile[2][id_of["01"]] == 5
+    # a node that cannot reach every other one never fills its count
+    g = build_graph([(0, 1)], {0: "a", 1: "a", 2: "b"})
+    assert all(counts[0] < 3 for counts in build_report(g, range(4)).reach_profile.values())
+
+
 def test_reach_profile_matches_naive(sample_graph):
-    edges = list(sample_graph.edges)
-    rows = naive.relaxation_distances(sample_graph.node_count, edges)
-    report = build_report(sample_graph, [0, 1, 3])
-    for k, counts in report.reach_profile.items():
-        for u in range(sample_graph.node_count):
-            expected = sum(1 for d in rows[u] if d is not None and d <= k)
-            assert counts[u] == expected
+    ks = range(sample_graph.node_count + 1)
+    expected = naive.reach_profile(sample_graph.node_count, list(sample_graph.edges), ks)
+    assert build_report(sample_graph, ks).reach_profile == expected
 
 
 def test_twin_reduction_keeps_large_stars_cheap():
@@ -266,17 +221,34 @@ def test_every_report_row_matches_the_naive_witness(case):
         assert is_k_integrated(g, k) == row
 
 
-def test_no_query_but_the_single_source_ones_runs_a_bfs(sample_graph, data_dir, capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a single-source BFS ran")
-
-    monkeypatch.setattr(metrics, "bounded_bfs", never)
+def test_witness_distances_come_from_the_report_rows(sample_graph, data_dir, capsys):
     report = build_report(sample_graph, [0, 1, 2, 3, 4, 5, 6])
     assert [row.witness_distance for row in report.per_k] == [1, 3, 3, 5, 5, None, None]
     assert is_k_integrated(sample_graph, 4) == report.per_k[4]
     files = ["--edges", str(data_dir / "sample_edges.txt"), "--communities", str(data_dir / "sample_communities.txt")]
     assert cli.main(["analyze", *files, "--k", "1,2,3,4,5,6"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _kernel_work(adjacency) -> tuple[int, int]:
+    """Levels ``_ball_levels`` yields over ``adjacency``, and the neighbour tuples it walks to get them."""
+    walks = 0
+
+    class Counting(tuple):
+        def __iter__(self):
+            nonlocal walks
+            walks += 1
+            return super().__iter__()
+
+    levels = len(list(metrics._ball_levels([Counting(nbs) for nbs in adjacency])))
+    return levels, walks
+
+
+def test_kernel_work_is_pinned(sample_graph):
+    # a ball already full is not grown again: without that skip the star walks
+    # 5 tuples in each of its 3 rounds (15) and the sample 12 in each of its 6 (72)
+    assert _kernel_work(((1, 2, 3, 4), (0,), (0,), (0,), (0,))) == (3, 9)
+    assert _kernel_work(sample_graph.adjacency) == (6, 50)
 
 
 def test_build_report_logs_its_kernel_counts(sample_graph, caplog):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kintegration import (
     Bound,
     InvalidParamsError,
+    OracleVerdict,
     ThresholdRow,
     bridge_threshold,
     check_threshold_row,
@@ -31,6 +32,8 @@ def test_single_community_needs_nothing():
     assert verdict.min_bridges == 0
     assert verdict.witness == ()
     assert verdict.certified
+    # answered without a search: no set is examined and no size runs out of budget
+    assert min_bridges_for_sizes((3,), 2) == OracleVerdict((3,), (), 0, None)
 
 
 def test_k1_is_the_full_cross_set():

@@ -6,7 +6,6 @@ from kintegration import (
     InvalidParamsError,
     QuotientGraph,
     UnsupportedCommunityCountError,
-    bounded_bfs,
     bridge_threshold,
     build_report,
     central_threshold,
@@ -36,6 +35,8 @@ _CASES = {
     "bridge_threshold.r": (bridge_threshold, lambda x: (x, 2, 2), 1),
     "bridge_threshold.n": (bridge_threshold, lambda x: (1, x, 2), 1),
     "bridge_threshold.k": (bridge_threshold, lambda x: (2, 2, x), 1),
+    "central_threshold.r": (central_threshold, lambda x: (x, 2, 2), 1),
+    "central_threshold.n": (central_threshold, lambda x: (1, x, 2), 1),
     "central_threshold.k": (central_threshold, lambda x: (2, 2, x), 1),
     "threshold_rows.kmax": (threshold_rows, lambda x: (2, 2, x), 1),
     "pair_bridge_minimum.n1": (pair_bridge_minimum, lambda x: (x, 2), 1),
@@ -54,7 +55,6 @@ _CASES = {
     "figure1_quotient.k": (figure1_quotient, lambda x: (x,), 4),
     "QuotientGraph.edges.u": (QuotientGraph, lambda x: (3, ((x, 1),)), 0),
     "QuotientGraph.edges.v": (QuotientGraph, lambda x: (3, ((1, x),)), 0),
-    "bounded_bfs.k": (bounded_bfs, lambda x: (_G, 0, x), 0),
     "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 0),
     "is_locally_complete.max_witnesses": (is_locally_complete, lambda x: (_G, x), 1),
     "build_report.ks": (build_report, lambda x: (_G, [1, x]), 0),

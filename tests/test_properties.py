@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from kintegration import (
     Bound,
     QuotientGraph,
-    bounded_bfs,
     bridge_threshold,
     build_graph,
+    build_report,
     central_threshold,
-    eccentricity,
     integration_level,
     is_k_integrated,
     localize_complete,
@@ -101,14 +100,8 @@ def test_format_parse_round_trip(data):
 @settings(max_examples=60, deadline=None)
 def test_distances_match_reference(seed, connected):
     g = random_community_graph(random.Random(seed), max_nodes=14, connected=connected)
-    dist = naive.relaxation_distances(g.node_count, id_edges(g))
-    for source in range(g.node_count):
-        row = dist[source]
-        expected_ecc = None if any(d is None for d in row) else max(row)
-        assert eccentricity(g, source) == expected_ecc
-        for k in (1, 3):
-            expected = {v: d for v, d in enumerate(row) if d is not None and d <= k}
-            assert bounded_bfs(g, source, k) == expected
+    ks = range(1, g.node_count + 1)
+    assert build_report(g, ks).reach_profile == naive.reach_profile(g.node_count, id_edges(g), ks)
     assert integration_level(g) == naive.diameter(g.node_count, id_edges(g))
 
 
