@@ -26,8 +26,7 @@ _EXPORTS = {
     "graph": ("CommunityGraph", "bridges", "build_graph", "central_nodes", "is_locally_complete", "local_edges",
               "localize_complete"),
     "metrics": ("IntegrationReport", "KVerdict", "build_report", "integration_level", "is_k_integrated"),
-    "oracle": ("OracleVerdict", "RowCheck", "check_threshold_row", "min_bridges_exhaustive", "min_bridges_for_sizes",
-               "min_bridges_randomized"),
+    "oracle": ("OracleVerdict", "RowCheck", "check_threshold_row", "min_bridges_for_sizes", "min_bridges_randomized"),
     "thresholds": ("Bound", "ThresholdRow", "bridge_threshold", "central_threshold", "pair_bridge_minimum",
                    "segregation_verdict", "threshold_row", "threshold_rows"),
 }

@@ -238,13 +238,11 @@ def cmd_certify(
     require_int("trials", trials, 1)
     rows = []
     for k in ks:
-        # the table refuses a request it does not cover before any search runs
-        table = thresholds.threshold_row(r, n, k)
-        row = {"k": k, "bound": _bound_row(table.bridges), "centrals_required": table.centrals}
+        # either mode reads the level's row once, and the row refuses a request it does not cover before any search
         if mode == "exhaustive":
             rc = oracle.check_threshold_row(r, n, k, budget=budget)
-            witness, agrees = rc.verdict.witness, rc.agrees
-            row.update(
+            table, witness, agrees = rc.row, rc.verdict.witness, rc.agrees
+            row = dict(
                 min_bridges=rc.verdict.min_bridges,
                 certified=rc.verdict.certified,
                 sets_examined=rc.verdict.sets_examined,
@@ -252,11 +250,12 @@ def cmd_certify(
                 witness_centrals=None if witness is None else len({node for edge in witness for node in edge}),
             )
         else:
+            table = thresholds.threshold_row(r, n, k)
             witness = oracle.min_bridges_randomized(r, n, k, trials=trials, seed=seed)
             agrees = oracle.fits_row(table, witness, exact=False)
-            row["upper_bound"] = len(witness)
-        row["witness"] = None if witness is None else [list(e) for e in witness]
-        row["agrees"] = agrees
+            row = {"upper_bound": len(witness)}
+        row.update(k=k, bound=_bound_row(table.bridges), centrals_required=table.centrals, agrees=agrees,
+                   witness=None if witness is None else [list(e) for e in witness])
         rows.append(row)
     agreements = {row["agrees"] for row in rows}
     code = 3 if False in agreements else 2 if None in agreements else 0

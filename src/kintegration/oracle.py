@@ -7,6 +7,10 @@ bridge sets in ascending size, so the first feasible set certifies the
 true minimum.  The randomized one starts from a construction's bridges,
 laid on each community's first slot, and builds no network.
 
+``check_threshold_row``, ``min_bridges_for_sizes`` and the r = 1 and
+k = 1 rows of ``min_bridges_randomized`` each check their parameters and
+refuse an oversized instance once, then enter the one exhaustive search.
+
 There is one search, and it is symmetry-reduced: it skips candidate
 sets that are relabelings of an earlier one (nodes within a community
 are interchangeable, as are whole communities of equal size).
@@ -116,10 +120,15 @@ class OracleVerdict(NamedTuple):
 
 
 class RowCheck(NamedTuple):
-    """A certified search and whether it agrees with its threshold row (None when the budget ran out)."""
+    """A certified search and the threshold row it is checked against, read for their agreement."""
 
+    row: ThresholdRow
     verdict: OracleVerdict
-    agrees: bool | None
+
+    @property
+    def agrees(self) -> bool | None:
+        """None when the budget ran out, else ``fits_row`` of the witness; False is a verified counterexample."""
+        return None if self.verdict.witness is None else fits_row(self.row, self.verdict.witness, exact=True)
 
 
 class _Instance:
@@ -290,13 +299,6 @@ def _check_equal_size(r: int, n: int) -> None:
         _check_size(r, r * n, n * n * r * (r - 1) // 2)
 
 
-def _instance(sizes: tuple[int, ...]) -> _Instance:
-    """The search instance for validated sizes, refused by ``_check_size`` first."""
-    nodes = sum(sizes)
-    _check_size(len(sizes), nodes, (nodes * nodes - sum(s * s for s in sizes)) // 2)
-    return _Instance(sizes)
-
-
 def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
     """Exact minimum bridge count for communities of the given sizes.
 
@@ -316,10 +318,18 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     require_int("k", k, 1)
     require_int("budget", budget, 1)
     ordered = tuple(sorted(sizes))
+    if len(ordered) > 1:
+        nodes = sum(ordered)
+        _check_size(len(ordered), nodes, (nodes * nodes - sum(s * s for s in ordered)) // 2)
+    return _search(ordered, k, budget)
+
+
+def _search(ordered: tuple[int, ...], k: int, budget: int) -> OracleVerdict:
+    """The exhaustive search over ascending sizes, which its callers have checked and capped."""
     if len(ordered) == 1:
         # one complete community has diameter at most 1 already
         return OracleVerdict(ordered, (), 0, None)
-    inst = _instance(ordered)
+    inst = _Instance(ordered)
     if k == 1:
         # diameter <= 1 means complete, so every cross pair must be
         # bridged; the full cross set is the unique minimum
@@ -433,17 +443,6 @@ def min_bridges_for_sizes(sizes, k: int, budget: int = DEFAULT_BUDGET) -> Oracle
     return OracleVerdict(ordered, None, examined, last)
 
 
-def min_bridges_exhaustive(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> OracleVerdict:
-    """Exact minimum bridge count for r communities of n nodes each."""
-    require_int("r", r, 1)
-    require_int("n", n, 1)
-    # every parameter before the size, in the order min_bridges_for_sizes checks them
-    require_int("k", k, 1)
-    require_int("budget", budget, 1)
-    _check_equal_size(r, n)
-    return min_bridges_for_sizes((n,) * r, k, budget=budget)
-
-
 def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS, seed: int = 0) -> tuple[Edge, ...]:
     """A feasible bridge set found by shuffle-and-prune, sorted; its size bounds the minimum from above.
 
@@ -473,8 +472,8 @@ def min_bridges_randomized(r: int, n: int, k: int, trials: int = DEFAULT_TRIALS,
     _check_equal_size(r, n)
     if r == 1 or k == 1:
         # the exact search settles both at once: no bridges, or every cross pair
-        return min_bridges_exhaustive(r, n, k).witness
-    inst = _instance((n,) * r)
+        return _search((n,) * r, k, DEFAULT_BUDGET).witness
+    inst = _Instance((n,) * r)
     # the bridges of the construction meeting this k row, with each community's first slot as its hub: the
     # two-star, then the extended star on a complete quotient, then on a star quotient
     hubs = [lo for lo, _ in inst.spans]
@@ -559,13 +558,13 @@ def fits_row(row: ThresholdRow, witness, exact: bool) -> bool:
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:
-    """The certified search for (r, n, k) and whether it agrees with the threshold row.
+    """The threshold row for r communities of n nodes at level k, and the certified search checked against it.
 
-    ``agrees`` is None when the search exhausted its budget, and otherwise
-    ``fits_row`` of the minimum's witness.  A False here means a verified
-    counterexample.
+    The row checks r, n and k and refuses n < r; then the budget is
+    checked and an oversized instance refused from r and n alone, before
+    the r sizes are built and searched once.
     """
     row = threshold_row(r, n, k)
-    verdict = min_bridges_exhaustive(r, n, k, budget=budget)
-    agrees = fits_row(row, verdict.witness, exact=True) if verdict.certified else None
-    return RowCheck(verdict, agrees)
+    require_int("budget", budget, 1)
+    _check_equal_size(r, n)
+    return RowCheck(row, _search((n,) * r, k, budget))

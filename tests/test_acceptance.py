@@ -12,17 +12,18 @@ from kintegration import (
     build_report,
     central_nodes,
     central_threshold,
+    check_threshold_row,
     cli,
     complete_join,
     complete_quotient,
     extended_star,
     integration_level,
     is_k_integrated,
-    min_bridges_exhaustive,
     min_bridges_for_sizes,
     pair_bridge_minimum,
     path_quotient,
     segregation_verdict,
+    threshold_row,
     two_star,
 )
 from kintegration.cli import canonical_json, cmd_analyze, cmd_generate
@@ -75,7 +76,7 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
     start = time.perf_counter()
     for r, n in [(2, 2), (2, 3), (3, 3)]:
         for k in (1, 2, 3):
-            verdict = min_bridges_exhaustive(r, n, k)
+            verdict = check_threshold_row(r, n, k).verdict
             assert verdict.certified
             bound = bridge_threshold(r, n, k)
             assert bound.exact
@@ -87,7 +88,8 @@ def test_criterion_3_small_scale_tightness(monkeypatch, capsys):
     fake_verdict = OracleVerdict(
         sizes=(2, 2), witness=((0, 2),), sets_examined=5, exhausted_size=0,
     )
-    fake_row = RowCheck(verdict=fake_verdict, agrees=False)
+    # one bridge falls short of B_2 = 2
+    fake_row = RowCheck(threshold_row(2, 2, 2), fake_verdict)
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     assert cli.main(["certify", "-r", "2", "-n", "2", "--k", "2"]) == 3
     capsys.readouterr()
@@ -180,7 +182,7 @@ def test_criterion_6_verdict_soundness():
 def test_criterion_7_intermediate_k_probe():
     start = time.perf_counter()
     for r, n in [(4, 4), (5, 5)]:
-        verdict = min_bridges_exhaustive(r, n, 4)
+        verdict = check_threshold_row(r, n, 4).verdict
         assert verdict.certified
         band = bridge_threshold(r, n, 4)
         assert band.lower <= verdict.min_bridges <= band.upper

@@ -1,3 +1,4 @@
+import collections
 import json
 import logging
 import os
@@ -290,12 +291,39 @@ def test_randomized_certify_logs_one_line_per_row_at_info(capsys, caplog):
     pattern = (r"randomized r 3 n 3 k (\d+): 4 trials, (\d+) swaps drawn, (\d+) refuted by a leaf rule, "
                r"(\d+) decided from the ball layers, (\d+) leaf rules grown, best (\d+) bridges")
     lines = [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups())) for r in caplog.records]
-    assert [line[0] for line in lines] == [2, 3]
-    for (_, drawn, refuted, decided, grown, best), row in zip(lines, rows):
-        # every swap drawn is refuted by a leaf rule or decided from its ball layers
-        assert drawn == refuted + decided and refuted > 0
-        assert grown > 0
-        assert best == len(row["witness"])
+    # (k, swaps drawn, refuted, decided, leaf rules grown, best): every swap drawn is refuted by a leaf rule or
+    # decided from its ball layers, and the seed fixes how many of each and how many rules the search grows
+    assert lines == [(2, 48, 48, 0, 6, 6), (3, 40, 16, 24, 35, 3)]
+    assert [line[-1] for line in lines] == [len(row["witness"]) for row in rows]
+
+
+def test_each_certify_level_reads_its_row_once_and_caps_its_instance_once(capsys, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    def never(*args, **kwargs):
+        raise AssertionError("a certify level entered min_bridges_for_sizes")
+
+    row_reader = counted("threshold_row", cli.thresholds.threshold_row)
+    monkeypatch.setattr(cli.thresholds, "threshold_row", row_reader)
+    monkeypatch.setattr(cli.oracle, "threshold_row", row_reader)
+    monkeypatch.setattr(cli.oracle, "_check_size", counted("_check_size", cli.oracle._check_size))
+    monkeypatch.setattr(cli.oracle, "min_bridges_for_sizes", never)
+    for mode, k in (("exhaustive", "2"), ("exhaustive", "1"), ("randomized", "1"), ("randomized", "2")):
+        calls.clear()
+        assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", k, "--mode", mode])[0] == 0
+        assert calls == {"threshold_row": 1, "_check_size": 1}, (mode, k)
+
+
+def test_cmd_certify_defaults_are_the_cli_defaults(capsys):
+    for mode in ("exhaustive", "randomized"):
+        code, out, _ = run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "3", "--mode", mode])
+        assert cli.cmd_certify(3, 3, (3,), mode=mode) == (json.loads(out), code)
 
 
 def test_certify_budget_exhaustion_exits_2(capsys):
@@ -311,7 +339,8 @@ def test_certify_disagreement_exits_3(capsys, monkeypatch):
     fake_verdict = OracleVerdict(
         sizes=(2, 2), witness=((0, 2),), sets_examined=7, exhausted_size=0,
     )
-    fake_row = RowCheck(verdict=fake_verdict, agrees=False)
+    # one bridge falls short of B_2 = 2
+    fake_row = RowCheck(cli.thresholds.threshold_row(2, 2, 2), fake_verdict)
     monkeypatch.setattr(cli.oracle, "check_threshold_row", lambda r, n, k, budget: fake_row)
     code, out, _ = run(capsys, ["certify", "-r", "2", "-n", "2", "--k", "2"])
     assert code == 3
@@ -555,9 +584,10 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
     monkeypatch.setattr(cli.oracle, "MAX_CROSS_PAIRS", 26)
     # the closed form says what the check on the built sizes says
     with pytest.raises(InvalidParamsError, match=re.escape(message)):
-        cli.oracle._instance((3, 3, 3))
+        cli.oracle.min_bridges_for_sizes((3, 3, 3), 2)
     monkeypatch.setattr(cli.oracle, "min_bridges_for_sizes", never)
-    monkeypatch.setattr(cli.oracle, "_instance", never)
+    monkeypatch.setattr(cli.oracle, "_search", never)
+    monkeypatch.setattr(cli.oracle, "_Instance", never)
     for mode in ("exhaustive", "randomized"):
         assert run(capsys, ["certify", "-r", "3", "-n", "3", "--k", "2", "--mode", mode]) == (1, "", f"error: {message}\n")
         # r = 10**8 sizes would take ~800 MB; from r and n alone the refusal is immediate
@@ -576,6 +606,8 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
         pytest.param(constructions, "MAX_EDGES", 4, ["generate", "--family", "two-star", "-r", "2", "-n", "2", "--out", "{tmp}"],
                      id="generate"),
         pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 27, ["certify", "-r", "3", "-n", "3", "--k", "2"], id="certify"),
+        # two communities need exactly 4 times their cross pairs in mask bits, so both caps sit at their limit
+        pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 4, ["certify", "-r", "2", "-n", "2", "--k", "2"], id="certify-r2"),
     ],
 )
 def test_each_size_cap_admits_a_request_exactly_at_its_limit(capsys, tmp_path, monkeypatch, module, limit, size, argv):
@@ -597,7 +629,7 @@ def test_unknown_family_and_mode_are_refused_by_the_functions_too(monkeypatch):
     # argparse's choices keep the CLI from these; the functions refuse them themselves
     with pytest.raises(InvalidParamsError, match=re.escape("unknown family 'wheel'")):
         cli.build_construction("wheel", 3, 2)
-    for name in ("check_threshold_row", "min_bridges_randomized", "min_bridges_for_sizes", "_instance"):
+    for name in ("check_threshold_row", "min_bridges_randomized", "min_bridges_for_sizes", "_search"):
         monkeypatch.setattr(cli.oracle, name, never)
     with pytest.raises(InvalidParamsError, match=re.escape("unknown mode 'bogus'")):
         cli.cmd_certify(2, 2, (2,), mode="bogus")

@@ -16,7 +16,6 @@ from kintegration import (
     check_threshold_row,
     complete_quotient,
     extended_star,
-    min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
     oracle,
@@ -28,16 +27,21 @@ import naive
 
 
 def test_single_community_needs_nothing():
-    verdict = min_bridges_exhaustive(1, 4, 2)
+    verdict = check_threshold_row(1, 4, 2).verdict
     assert verdict.min_bridges == 0
     assert verdict.witness == ()
     assert verdict.certified
     # answered without a search: no set is examined and no size runs out of budget
     assert min_bridges_for_sizes((3,), 2) == OracleVerdict((3,), (), 0, None)
+    # one community has no cross pair, so no entry caps it, however large
+    big = 10**6
+    answer = OracleVerdict((big,), (), 0, None)
+    assert check_threshold_row(1, big, 2).verdict == min_bridges_for_sizes((big,), 2) == answer
+    assert min_bridges_randomized(1, big, 2) == ()
 
 
 def test_k1_is_the_full_cross_set():
-    verdict = min_bridges_exhaustive(3, 2, 1)
+    verdict = min_bridges_for_sizes((2, 2, 2), 1)
     assert verdict.min_bridges == 12
     assert len(verdict.witness) == 12
     assert verdict.certified
@@ -167,7 +171,7 @@ def test_ball_kernel_matches_naive(case, k, data):
         bridges = sorted(set(bridges))
     if data.draw(st.booleans()):
         k = sum(sizes) - 1 + data.draw(st.integers(0, 2))
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     assert inst.is_k_integrated(bridges, k) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
 
 
@@ -176,7 +180,7 @@ def test_ball_kernel_matches_naive(case, k, data):
 def test_leaf_rule_refutes_only_infeasible_sets(case, k, data):
     sizes, universe, bridges = case
     u, v = data.draw(st.sampled_from(universe))
-    near, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
+    near, short, _ = oracle._Instance(sizes).leaf_rule(bridges, k)
     if short & ~(near[u] | near[v]):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
 
@@ -188,7 +192,7 @@ def test_leaf_rule_has_no_short_source_exactly_when_k_integrated(case, data):
     # k runs past node_count - 1, where the rounds stop
     sizes, _, bridges = case
     k = data.draw(st.integers(1, sum(sizes) + 2))
-    _, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
+    _, short, _ = oracle._Instance(sizes).leaf_rule(bridges, k)
     assert (short == 0) == naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges, k)
 
 
@@ -200,7 +204,7 @@ def test_is_k_integrated_with_decides_one_more_bridge_exactly(case, data):
     sizes, universe, bridges = case
     k = data.draw(st.integers(1, sum(sizes) + 2))
     u, v = data.draw(st.sampled_from(universe))
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     expected = naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(u, v)], k)
     assert inst.is_k_integrated_with(inst.leaf_rule(bridges, k), k, u, v) == expected
 
@@ -211,7 +215,7 @@ def test_grandparent_rule_refutes_only_infeasible_sets(case, k, data):
     # the rule a grandparent Q passes to its child Q + (a, b), applied to the leaf Q + (a, b) + (u, v)
     sizes, universe, bridges = case
     (a, b), (u, v) = data.draw(st.lists(st.sampled_from(universe), min_size=2, max_size=2))
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     near, short, _ = inst.leaf_rule(bridges, k)
     if short & ~near[a] & ~near[b] & ~(near[u] | near[v]):
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + [(a, b), (u, v)], k)
@@ -227,7 +231,7 @@ def test_subtree_rule_refutes_only_infeasible_sets(case, k, data):
     # bridges with both ends >= u0, so the search counts that subtree's leaves without walking it
     sizes, universe, bridges = case
     u0 = universe[data.draw(st.integers(0, len(universe) - 1))][0]
-    near, short, _ = oracle._instance(sizes).leaf_rule(bridges, k)
+    near, short, _ = oracle._Instance(sizes).leaf_rule(bridges, k)
     if any(short >> s & 1 and not near[s] >> u0 for s in range(sum(sizes))):
         added = data.draw(st.lists(st.sampled_from([e for e in universe if e[0] >= u0]), unique=True))
         assert not naive.is_k_integrated(sum(sizes), naive.local_edges(sizes) + bridges + added, k)
@@ -240,7 +244,7 @@ def test_source_with_its_ball_below_u0_stays_short_in_the_whole_suffix(case, dat
     # pair from idx on, all with both ends >= u0, and a path from s reaches its first new end within
     # k - 1 hops of s in P, so a source short in P whose whole (k - 1)-ball lies below u0 stays short
     sizes, _, bridges = case
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     k = data.draw(st.integers(1, inst.node_count + 1))
     idx = data.draw(st.integers(0, len(inst.universe) - 1))
     u0 = inst.universe[idx][0]
@@ -263,7 +267,7 @@ def _gates(sizes):
 @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 3), (2, 2, 2), (3, 3, 3), (1, 1, 2, 2), (2, 2, 2, 2), (4, 4), (1, 2, 3, 4)])
 def test_leaf_count_matches_a_plain_walk(sizes):
     # every start index, every open mask the gates can reach before it, 1 to 3 bridges left
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     gate = _gates(sizes)
     universe = inst.universe
 
@@ -401,7 +405,7 @@ def test_completion_refutes_only_subtrees_without_a_feasible_leaf(sizes, k):
     # at every node two or more bridges short, in every pass, every leaf below lies inside
     # the node's completion; where the completion is not k-integrated, no leaf below is,
     # by brute force over the leaves
-    inst = oracle._instance(sizes)
+    inst = oracle._Instance(sizes)
     base = naive.local_edges(sizes)
     refuted = 0
     for m in range(len(sizes) - 1, len(inst.universe) + 1):
@@ -433,7 +437,7 @@ def test_completion_changes_no_verdict_and_no_count(monkeypatch, row):
 def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
     # a check costs min(k, nodes - 1) rounds, feasible or not, so a huge k cannot
     # hang; the first round starts from the community masks, so it is not a grow call
-    inst = oracle._instance((1, 2, 3))
+    inst = oracle._Instance((1, 2, 3))
     grow = oracle._Instance.grow
     calls = 0
 
@@ -458,7 +462,7 @@ def test_balls_stop_growing_after_node_count_minus_one_rounds(monkeypatch):
 def test_certified_minima_match_threshold_table():
     for r, n in [(2, 2), (2, 3), (3, 3)]:
         for k in (1, 2, 3):
-            verdict = min_bridges_exhaustive(r, n, k)
+            verdict = check_threshold_row(r, n, k).verdict
             bound = bridge_threshold(r, n, k)
             assert bound.exact
             assert verdict.min_bridges == bound.lower
@@ -466,7 +470,7 @@ def test_certified_minima_match_threshold_table():
 
 
 def test_budget_exhaustion_is_a_partial_verdict():
-    verdict = min_bridges_exhaustive(3, 3, 2, budget=5)
+    verdict = check_threshold_row(3, 3, 2, budget=5).verdict
     assert verdict.min_bridges is None
     assert verdict.witness is None
     assert not verdict.certified
@@ -494,9 +498,9 @@ def test_sizes_may_be_any_iterable():
 
 def test_validation_errors():
     with pytest.raises(InvalidParamsError):
-        min_bridges_exhaustive(0, 2, 2)
+        check_threshold_row(0, 2, 2)
     with pytest.raises(InvalidParamsError):
-        min_bridges_exhaustive(2, 2, 0)
+        check_threshold_row(2, 2, 0)
     with pytest.raises(InvalidParamsError):
         min_bridges_for_sizes((), 2)
     with pytest.raises(InvalidParamsError, match="iterable"):
@@ -519,7 +523,7 @@ def test_lopsided_sizes_are_refused_before_building(monkeypatch):
 
 def test_randomized_upper_bound_is_sound():
     for r, n, k in [(2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 3, 4)]:
-        certified = min_bridges_exhaustive(r, n, k).min_bridges
+        certified = min_bridges_for_sizes((n,) * r, k).min_bridges
         witness = min_bridges_randomized(r, n, k, trials=8, seed=3)
         assert len(witness) >= certified
         base = naive.local_edges((n,) * r)
@@ -529,6 +533,8 @@ def test_randomized_upper_bound_is_sound():
 def test_randomized_finds_exact_minimum_on_easy_cases():
     assert len(min_bridges_randomized(2, 2, 3, trials=4, seed=0)) == 1
     assert len(min_bridges_randomized(3, 2, 2, trials=10, seed=1)) == 4
+    # the seed defaults to 0: seeds 0 and 1 find different two-bridge paths on three single nodes
+    assert min_bridges_randomized(3, 1, 3) == ((0, 2), (1, 2)) != min_bridges_randomized(3, 1, 3, seed=1)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from kintegration import (
     QuotientGraph,
     UnsupportedCommunityCountError,
     bridge_threshold,
+    check_threshold_row,
     build_report,
     central_threshold,
     complete_join,
@@ -16,7 +17,6 @@ from kintegration import (
     figure1_quotient,
     is_k_integrated,
     is_locally_complete,
-    min_bridges_exhaustive,
     min_bridges_for_sizes,
     min_bridges_randomized,
     pair_bridge_minimum,
@@ -61,10 +61,10 @@ _CASES = {
     "min_bridges_for_sizes.sizes": (min_bridges_for_sizes, lambda x: ((2, x), 2), 1),
     "min_bridges_for_sizes.k": (min_bridges_for_sizes, lambda x: ((2, 2), x), 1),
     "min_bridges_for_sizes.budget": (min_bridges_for_sizes, lambda x: ((2, 2), 2, x), 1),
-    "min_bridges_exhaustive.r": (min_bridges_exhaustive, lambda x: (x, 2, 2), 1),
-    "min_bridges_exhaustive.n": (min_bridges_exhaustive, lambda x: (2, x, 2), 1),
-    "min_bridges_exhaustive.k": (min_bridges_exhaustive, lambda x: (2, 2, x), 1),
-    "min_bridges_exhaustive.budget": (min_bridges_exhaustive, lambda x: (2, 2, 2, x), 1),
+    "check_threshold_row.r": (check_threshold_row, lambda x: (x, 2, 2), 1),
+    "check_threshold_row.n": (check_threshold_row, lambda x: (1, x, 2), 1),
+    "check_threshold_row.k": (check_threshold_row, lambda x: (2, 2, x), 1),
+    "check_threshold_row.budget": (check_threshold_row, lambda x: (2, 2, 2, x), 1),
     "min_bridges_randomized.r": (min_bridges_randomized, lambda x: (x, 2, 2), 1),
     "min_bridges_randomized.n": (min_bridges_randomized, lambda x: (2, x, 2), 1),
     "min_bridges_randomized.k": (min_bridges_randomized, lambda x: (2, 2, x), 1),
@@ -91,6 +91,7 @@ def test_entry_points_reject_bad_integers(case, bad):
         pytest.param(None, InvalidParamsError, id="None"),
         pytest.param(True, InvalidParamsError, id="True"),
         pytest.param(7, UnsupportedCommunityCountError, id="7"),
+        pytest.param(1, UnsupportedCommunityCountError, id="1"),
     ],
 )
 def test_figure1_quotient_checks_r_is_an_integer_before_it_is_eight(r, error):

@@ -38,7 +38,7 @@ def test_every_exported_name_resolves():
 
 def test_every_name_in_the_table_is_defined_by_its_module_and_exported_in_order():
     names = [name for names in kintegration._EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 49
+    assert len(names) == len(set(names)) == 48
     for module, module_names in kintegration._EXPORTS.items():
         for name in module_names:
             assert getattr(kintegration, name).__module__ == f"kintegration.{module}", name

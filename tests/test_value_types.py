@@ -22,6 +22,8 @@ PATH_REPR = (
 )
 VERDICT = OracleVerdict((2, 2), ((0, 2), (1, 3)), 5, 1)
 VERDICT_REPR = "OracleVerdict(sizes=(2, 2), witness=((0, 2), (1, 3)), sets_examined=5, exhausted_size=1)"
+ROW = ThresholdRow(2, Bound(2, 2), 3)
+ROW_REPR = "ThresholdRow(k=2, bridges=Bound(lower=2, upper=2), centrals=3)"
 
 # (type, field values, the same type with one value changed, repr)
 CASES = [
@@ -46,7 +48,12 @@ CASES = [
         " reach_profile={1: (2, 3, 2)})",
     ),
     (OracleVerdict, VERDICT[:], (*VERDICT[:3], 2), VERDICT_REPR),
-    (RowCheck, (VERDICT, True), (VERDICT, None), f"RowCheck(verdict={VERDICT_REPR}, agrees=True)"),
+    (
+        RowCheck,
+        (ROW, VERDICT),
+        (ROW._replace(centrals=5), VERDICT),
+        f"RowCheck(row={ROW_REPR}, verdict={VERDICT_REPR})",
+    ),
     (
         Construction,
         (PATH, "path", 2, 1, 2),
@@ -90,7 +97,13 @@ def test_verdicts_are_read_from_the_witness():
     for witness, minimum in ((VERDICT.witness, 2), ((), 0), (None, None)):
         verdict = VERDICT._replace(witness=witness)
         assert (verdict.min_bridges, verdict.certified) == (minimum, witness is not None)
-    for item, name in ((KVerdict(2), "integrated"), (VERDICT, "min_bridges"), (VERDICT, "certified")):
+    # None without a witness; otherwise the witness meets the row's counts and, being certified, its upper bound
+    for row, verdict, agrees in ((ROW, VERDICT, True), (ROW, VERDICT._replace(witness=None), None),
+                                 (ROW._replace(centrals=5), VERDICT, False),
+                                 (ROW._replace(bridges=Bound(1, 1)), VERDICT, False)):
+        assert RowCheck(row, verdict).agrees is agrees
+    for item, name in ((KVerdict(2), "integrated"), (VERDICT, "min_bridges"), (VERDICT, "certified"),
+                       (RowCheck(ROW, VERDICT), "agrees")):
         with pytest.raises(AttributeError):
             setattr(item, name, None)
 
@@ -101,6 +114,7 @@ DERIVED = [
     (KVerdict, (2, (0, 5), 3), "integrated", False),
     (OracleVerdict, VERDICT[:], "min_bridges", 2),
     (OracleVerdict, VERDICT[:], "certified", True),
+    (RowCheck, (ROW, VERDICT), "agrees", True),
 ]
 
 
