@@ -11,14 +11,13 @@ bit-exactly.
 ``load_graph`` reads each file once, with line endings normalised to
 LF on read, so CRLF files load like LF ones. It parses the community
 file with ``parse_community_map`` and then makes one pass over the edge
-file's lines. A plain line, two known and distinct node names separated
-by one space, is split at that space and its two ids are appended to
-the neighbour lists. Any other line gets the rules ``parse_edge_list``
-and ``build_graph`` apply, in the same loop. An edge-line syntax error
-raises at once; an error in the community file, an empty map and the
-first self-loop or unknown node are held until the pass ends, so the
-errors and line numbers are those of ``parse_edge_list``,
-``parse_community_map`` and ``build_graph`` run one after another.
+file's lines. A plain line, two known node names separated by one
+space, is split at that space; any other line is split at whitespace,
+and a blank or comment line is skipped. Good input never leaves that
+pass. On any error the loader runs the line-numbered parsers and
+``build_graph`` on the texts it read (reading the community file again
+only if its first read failed), so the error and line number are
+theirs, and re-raises its own error only if they raise none.
 
 Every writer yields its text by blocks, and ``write_graph`` and
 ``generate --dot`` pass them straight to ``write_text_atomic``.
@@ -36,28 +35,21 @@ import operator
 import os
 from typing import Iterable, Iterator
 
-from .errors import EmptyCommunityMapError, KIntegrationError, ParseError, SelfLoopError, UnknownNodeError
-from .graph import CommunityGraph, edge_ids, index_nodes, intern_graph, pick
-
-
-def _edge_pair(line: str, lines: list[str]) -> tuple[str, str] | None:
-    """The node pair on ``line``, one of an edge file's ``lines``, or None for a blank or comment line.
-
-    A line without two tokens raises ParseError numbered by its first
-    occurrence, which is this one: an identical earlier line raised first.
-    """
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    parts = stripped.split()
-    if len(parts) != 2:
-        raise ParseError(lines.index(line) + 1, f"expected 2 node tokens, got {len(parts)}: {stripped!r}")
-    return parts[0], parts[1]
+from .errors import KIntegrationError, ParseError, SelfLoopError
+from .graph import CommunityGraph, build_graph, index_nodes, intern_graph, pick
 
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
-    lines = text.splitlines()
-    return [pair for line in lines if (pair := _edge_pair(line, lines)) is not None]
+    pairs: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(lineno, f"expected 2 node tokens, got {len(parts)}: {line!r}")
+        pairs.append((parts[0], parts[1]))
+    return pairs
 
 
 def parse_community_map(text: str) -> dict[str, str]:
@@ -92,41 +84,37 @@ def _read_text(path: str | os.PathLike) -> str:
 
 def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLike) -> CommunityGraph:
     edges_text = _read_text(edges_path)
-    # raised after the edge pass, which may still find an edge-line syntax error
-    held: Exception | None = None
-    communities, node_keys, index = {}, [], {}
+    communities_text = None
     try:
-        communities = parse_community_map(_read_text(communities_path))
+        communities_text = _read_text(communities_path)
+        communities = parse_community_map(communities_text)
         node_keys, index = index_nodes(communities)
-    except (OSError, ParseError, EmptyCommunityMapError) as exc:
-        held = exc
-    neighbors: list[list[int]] = [[] for _ in node_keys]
-    # node names hold no whitespace and do not start with '#', so a line
-    # other than "name name" fails a lookup below
-    lines = edges_text.splitlines()
-    for line in lines:
-        a, _, b = line.partition(" ")
-        try:
-            u = index[a]
-            v = index[b]
-            if u != v:
-                neighbors[u].append(v)
-                neighbors[v].append(u)
-                continue
-        except KeyError:
-            pass
-        pair = _edge_pair(line, lines)
-        if pair is None or held is not None:
-            continue
-        try:
-            u, v = edge_ids(*pair, index)
-        except (SelfLoopError, UnknownNodeError) as exc:
-            held = exc
-            continue
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    if held is not None:
-        raise held
+        neighbors: list[list[int]] = [[] for _ in node_keys]
+        # node names hold no whitespace and do not start with '#', so a line
+        # other than "name name" fails the first lookups
+        for line in edges_text.splitlines():
+            a, _, b = line.partition(" ")
+            try:
+                u = index[a]
+                v = index[b]
+            except KeyError:
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                a, b = parts
+                u = index[a]
+                v = index[b]
+            if u == v:
+                raise SelfLoopError(a)
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+    except (OSError, ValueError, KeyError, KIntegrationError):
+        # the line-numbered parsers say which error a bad input reports
+        build_graph(
+            parse_edge_list(edges_text),
+            parse_community_map(_read_text(communities_path) if communities_text is None else communities_text),
+        )
+        raise
     return intern_graph(communities, node_keys, neighbors)
 
 

@@ -158,7 +158,13 @@ def build_graph(
     node_keys, node_index = index_nodes(communities)
     neighbors: list[list[int]] = [[] for _ in node_keys]
     for a, b in edges:
-        u, v = edge_ids(a, b, node_index)
+        if a == b:
+            raise SelfLoopError(a)
+        if a not in node_index:
+            raise UnknownNodeError(a)
+        if b not in node_index:
+            raise UnknownNodeError(b)
+        u, v = node_index[a], node_index[b]
         neighbors[u].append(v)
         neighbors[v].append(u)
     return intern_graph(communities, node_keys, neighbors)
@@ -170,17 +176,6 @@ def index_nodes(communities: Mapping[Hashable, Hashable]) -> tuple[list, dict]:
         raise EmptyCommunityMapError()
     node_keys = sorted(communities)
     return node_keys, {key: i for i, key in enumerate(node_keys)}
-
-
-def edge_ids(a: Hashable, b: Hashable, node_index: Mapping[Hashable, int]) -> Edge:
-    """The ids of edge (a, b)'s ends, checking for a self-loop, then an unknown ``a``, then an unknown ``b``."""
-    if a == b:
-        raise SelfLoopError(a)
-    if a not in node_index:
-        raise UnknownNodeError(a)
-    if b not in node_index:
-        raise UnknownNodeError(b)
-    return node_index[a], node_index[b]
 
 
 def intern_graph(

@@ -13,7 +13,9 @@ int bitset, and each round ORs in the balls of its neighbours, so round
 k holds exactly the classes within distance k. The rounds stop at
 closure, when one more round would change nothing. Two rounds of balls
 are alive at a time, about classes**2 / 8 bytes each, so a graph with
-more than MAX_CLASSES twin classes is refused before the first round.
+more than MAX_CLASSES twin classes is refused before the first round,
+as is a request for more than MAX_REACH_COUNTS reach counts (one per
+node and distinct level).
 Only ``build_report`` turns the rounds into k* and the per-k verdicts,
 which ``integration_level``, ``is_k_integrated`` and
 ``QuotientGraph.diameter`` read. The reported witness is always the one
@@ -36,6 +38,9 @@ log = logging.getLogger(__name__)
 
 # two rounds of balls hold 2 * classes**2 / 8 bytes: ~0.9 GB at the limit
 MAX_CLASSES = 60_000
+# one reach count per node and distinct level; analyze --format json peaks at ~75 B a count,
+# 767 MB (VmHWM) for 3,333 levels of 3,000 nodes (README has the measured figures)
+MAX_REACH_COUNTS = 10_000_000
 
 
 class KVerdict(NamedTuple):
@@ -190,6 +195,12 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     for k in ks:
         require_int("k", k, 0)
     wanted = set(ks)
+    counts = len(wanted) * g.node_count
+    if counts > MAX_REACH_COUNTS:
+        raise KIntegrationError(
+            f"{len(wanted)} levels of {g.node_count} nodes need {counts} reach counts, "
+            f"more than the limit of {MAX_REACH_COUNTS}"
+        )
     q = _TwinQuotient(g)
     violations: dict[int, tuple[int, int | None] | None] = {}
     reach: dict[int, tuple[int, ...]] = {}

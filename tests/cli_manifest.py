@@ -191,6 +191,8 @@ def corpus() -> dict[str, tuple[dict[str, str | bytes], list[str], tuple]]:
     entries[f"sample: {' '.join(repeated)}"] = (SAMPLE, repeated, ())
     limited = [
         ("sample", SAMPLE, ["analyze", *ANALYZE_FILES], (metrics, "MAX_CLASSES", 3)),
+        # the default three levels of the sample's 12 nodes need 36 reach counts
+        ("sample", SAMPLE, ["analyze", *ANALYZE_FILES], (metrics, "MAX_REACH_COUNTS", 35)),
         ("random", random_input, ["analyze", *ANALYZE_FILES, "--localize"], (graph, "MAX_EDGES", 10)),
         (None, {}, ["generate", "--family", "complete-join", "-r", "3", "-n", "2", "--out", "out"],
          (constructions, "MAX_EDGES", 10)),

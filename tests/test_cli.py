@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from kintegration import (
-    Bound, InvalidParamsError, OracleVerdict, QuotientGraph, RowCheck, cli, constructions, fileio, graph, metrics,
+    Bound, InvalidParamsError, KIntegrationError, OracleVerdict, QuotientGraph, RowCheck, cli, constructions, fileio,
+    graph, metrics,
 )
 from kintegration.cli import canonical_json, cmd_analyze, main
 from kintegration.thresholds import MAX_KMAX
@@ -608,6 +609,9 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
         pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 27, ["certify", "-r", "3", "-n", "3", "--k", "2"], id="certify"),
         # two communities need exactly 4 times their cross pairs in mask bits, so both caps sit at their limit
         pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 4, ["certify", "-r", "2", "-n", "2", "--k", "2"], id="certify-r2"),
+        # three levels of five nodes
+        pytest.param(metrics, "MAX_REACH_COUNTS", 15,
+                     ["analyze", "--edges", "{tmp}/e.txt", "--communities", "{tmp}/c.txt"], id="analyze-levels"),
     ],
 )
 def test_each_size_cap_admits_a_request_exactly_at_its_limit(capsys, tmp_path, monkeypatch, module, limit, size, argv):
@@ -662,6 +666,25 @@ def test_graphs_over_the_class_limit_are_refused_before_the_kernel(capsys, tmp_p
     assert not (out / "certificate.json").exists()
     # the sample's 12 nodes fall into 7 classes
     assert run(capsys, ["analyze", *SAMPLE]) == (1, "", "error: the graph has 7 twin classes, more than the limit of 4\n")
+
+
+def test_requests_over_the_reach_count_limit_are_refused_before_the_kernel(capsys, monkeypatch, sample_graph):
+    def never(g):
+        raise AssertionError("the twin classes were counted")
+
+    # the sample's 12 nodes at four levels need 48 reach counts; a repeated level counts once
+    monkeypatch.setattr(metrics, "MAX_REACH_COUNTS", 47)
+    monkeypatch.setattr(metrics, "_TwinQuotient", never)
+    message = "error: 4 levels of 12 nodes need 48 reach counts, more than the limit of 47\n"
+    assert run(capsys, ["analyze", *SAMPLE, "--k", "1,2,3,4"]) == (1, "", message)
+    with pytest.raises(KIntegrationError, match="4 levels of 12 nodes"):
+        metrics.build_report(sample_graph, [1, 2, 3, 4, 4])
+    monkeypatch.undo()
+    monkeypatch.setattr(metrics, "MAX_REACH_COUNTS", 36)
+    assert len(metrics.build_report(sample_graph, [1, 2, 2, 3]).per_k) == 4
+    # k* alone needs no reach counts
+    monkeypatch.setattr(metrics, "MAX_REACH_COUNTS", 0)
+    assert metrics.integration_level(sample_graph) == 5
 
 
 def test_complete_quotients_over_the_edge_limit_are_refused_before_building(capsys, tmp_path, monkeypatch):

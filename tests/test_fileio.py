@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from kintegration import (
     KIntegrationError,
     ParseError,
+    SelfLoopError,
+    UnknownNodeError,
     build_graph,
     load_graph,
     parse_community_map,
@@ -374,7 +376,62 @@ def test_load_graph_decides_every_line_in_one_pass(tmp_path, monkeypatch):
     (tmp_path / "plain.txt").write_text("a b\nb c\nc d\n")
     plain = load_graph(tmp_path / "plain.txt", communities)
     monkeypatch.setattr(fileio, "parse_edge_list", never)
+    # the loader calls the build_graph it imported
+    monkeypatch.setattr(fileio, "build_graph", never)
     monkeypatch.setattr(graph, "build_graph", never)
     for text in ("# header\na b\nb c\nc d\n", "a b\nb\tc\nc d\n", "a b\n\nb c\n\nc d\n", "a b\nb c\nc d\nb a\n"):
         (tmp_path / "e.txt").write_text(text)
         assert load_graph(tmp_path / "e.txt", communities) == plain
+
+
+# a bad input the loader's own pass meets, the error the line-numbered parsers report for it,
+# and how many steps of parse_edge_list, parse_community_map and build_graph run before it
+_BAD_INPUTS = {
+    "edge-line": ("a b\nb c d\n", "a A\nb A\nc B\n", ParseError, "line 2: expected 2 node tokens, got 3", 1),
+    "community-line": ("a b\n", "a A\nb\n", ParseError, "line 2: expected 'node community', got 1 tokens", 2),
+    "unknown-node": ("a b\nb\tz\n", "a A\nb A\n", UnknownNodeError, "node 'z'", 3),
+    "self-loop": ("a b\nb b\n", "a A\nb A\n", SelfLoopError, "self-loop at node 'b'", 3),
+}
+
+
+@pytest.mark.parametrize("edges, communities, error, message, steps", _BAD_INPUTS.values(), ids=_BAD_INPUTS)
+def test_a_bad_input_gets_the_error_of_the_line_numbered_parsers_run_once(
+    tmp_path, monkeypatch, edges, communities, error, message, steps
+):
+    (tmp_path / "e.txt").write_text(edges)
+    (tmp_path / "c.txt").write_text(communities)
+    calls, raised = [], []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            try:
+                return fn(*args)
+            except KIntegrationError as exc:
+                raised.append(exc)
+                raise
+
+        return wrapped
+
+    for name in ("parse_edge_list", "parse_community_map", "build_graph"):
+        monkeypatch.setattr(fileio, name, spy(name, getattr(fileio, name)))
+    with pytest.raises(error, match=re.escape(message)) as err:
+        load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
+    # the pass parsed the community file, then the reference ran once, up to the error it raised,
+    # and that error is what the loader raised
+    assert calls == ["parse_community_map", *["parse_edge_list", "parse_community_map", "build_graph"][:steps]]
+    assert err.value is raised[-1]
+
+
+@pytest.mark.parametrize(
+    "bad, own", [("edge-line", ValueError), ("unknown-node", KeyError), ("self-loop", SelfLoopError)]
+)
+def test_a_bad_input_never_loads_even_if_the_reference_accepts_it(tmp_path, monkeypatch, bad, own):
+    edges, communities = _BAD_INPUTS[bad][:2]
+    (tmp_path / "e.txt").write_text(edges)
+    (tmp_path / "c.txt").write_text(communities)
+    monkeypatch.setattr(fileio, "parse_edge_list", lambda text: [])
+    monkeypatch.setattr(fileio, "build_graph", lambda edges, communities: None)
+    # the loader re-raises the error its own pass met
+    with pytest.raises(own):
+        load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
