@@ -17,7 +17,9 @@ and a blank or comment line is skipped. Good input never leaves that
 pass. On any error the loader runs the line-numbered parsers and
 ``build_graph`` on the texts it read (reading the community file again
 only if its first read failed), so the error and line number are
-theirs, and re-raises its own error only if they raise none.
+theirs, and re-raises its own error only if they raise none. One pass
+checks the edge lines and ``build_graph`` reads them again, so no list of
+pairs is held and a bad input peaks about where a good one does.
 
 Every writer yields its text by blocks, and ``write_graph`` and
 ``generate --dot`` pass them straight to ``write_text_atomic``.
@@ -31,6 +33,7 @@ order. No writer builds the graph's edge tuple.
 from __future__ import annotations
 
 import bisect
+import collections
 import operator
 import os
 from typing import Iterable, Iterator
@@ -40,7 +43,10 @@ from .graph import CommunityGraph, build_graph, index_nodes, intern_graph, pick
 
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
+    return list(_edge_pairs(text))
+
+
+def _edge_pairs(text: str) -> Iterator[tuple[str, str]]:
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -48,8 +54,7 @@ def parse_edge_list(text: str) -> list[tuple[str, str]]:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(lineno, f"expected 2 node tokens, got {len(parts)}: {line!r}")
-        pairs.append((parts[0], parts[1]))
-    return pairs
+        yield parts[0], parts[1]
 
 
 def parse_community_map(text: str) -> dict[str, str]:
@@ -109,11 +114,11 @@ def load_graph(edges_path: str | os.PathLike, communities_path: str | os.PathLik
             neighbors[u].append(v)
             neighbors[v].append(u)
     except (OSError, ValueError, KeyError, KIntegrationError):
-        # the line-numbered parsers say which error a bad input reports
-        build_graph(
-            parse_edge_list(edges_text),
-            parse_community_map(_read_text(communities_path) if communities_text is None else communities_text),
-        )
+        # the line-numbered parsers, in parse_edge_list's order, say which error a bad input reports
+        neighbors = None
+        collections.deque(_edge_pairs(edges_text), 0)
+        communities_text = _read_text(communities_path) if communities_text is None else communities_text
+        build_graph(_edge_pairs(edges_text), parse_community_map(communities_text))
         raise
     return intern_graph(communities, node_keys, neighbors)
 

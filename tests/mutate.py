@@ -11,10 +11,10 @@ file of ``src/kintegration``. A mutant makes one change at one site:
 * ``and``/``or`` swapped, or a ``not`` dropped;
 * an int constant from 0 to 3 raised by one.
 
-Annotations are never mutated. The checkout is copied once per job to a
-temporary directory; each mutant's module is written there, as the
-module's ``ast.unparse`` with the one change, and the suite runs on that
-copy with ``pytest -x``. The checkout itself is never written. The
+Annotations are never mutated. The checkout is copied to ``JOBS``
+temporary directories; each mutant's module is written to one of them,
+as the module's ``ast.unparse`` with the one change, and the whole suite
+runs on that copy with ``pytest -x``. The checkout itself is never written. The
 unmutated ``ast.unparse`` runs first, and the sweep stops if it fails.
 
 A mutant is killed when the suite fails (or runs past ``TIMEOUT_S``) and
@@ -22,8 +22,7 @@ survives when it passes. A survivor either changes something no test
 pins, or changes nothing a caller can see; only reading it can tell.
 
     python tests/mutate.py fileio:load_graph graph:build_graph     # sweep two functions
-    python tests/mutate.py metrics:196-201 --list                  # print the sites only
-    python tests/mutate.py fileio:parse_edge_list --tests tests/test_fileio.py --jobs 1
+    python tests/mutate.py metrics:build_report --list             # print the sites only
 
 It prints one line per mutant and then the survivors, and exits 0 once
 the sweep is done, whatever survived.
@@ -50,6 +49,8 @@ PACKAGE = Path("src") / "kintegration"
 TIMEOUT_S = 600
 # the address space of this process and of every suite it runs, so a mutant that allocates without end fails alone
 MEMORY_LIMIT = 4 << 30
+# suites run at once, each on its own copy of the checkout
+JOBS = 2
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
@@ -164,10 +165,10 @@ def mutants(targets: list[str]) -> list[Mutant]:
     return found
 
 
-def run_suite(copy: Path, tests: list[str]) -> str:
+def run_suite(copy: Path) -> str:
     """"killed", "timeout" or "survived"."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
     try:
         proc = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                               timeout=TIMEOUT_S)
@@ -183,11 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("targets", nargs="+", help="module:function, module:Class.method or module:first-last")
     parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
-    parser.add_argument("--jobs", type=int, default=2, help="suites run at once, each on its own copy (default 2)")
-    parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths, relative to the checkout")
     args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must be from 1 to 8")
     todo = mutants(args.targets)
     if args.list:
         print("\n".join(map(str, todo)))
@@ -196,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copies: queue.Queue[Path] = queue.Queue()
-        for job in range(args.jobs):
+        for job in range(JOBS):
             copy = Path(tmp) / str(job)
             ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
             shutil.copytree(ROOT, copy, ignore=ignore)
@@ -212,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
                     changed = mutant is not None and module == mutant.module
                     text = mutant.source(original) if changed else ast.unparse(ast.parse(original)) + "\n"
                     (copy / PACKAGE / module).write_text(text, encoding="utf-8")
-                return run_suite(copy, args.tests)
+                return run_suite(copy)
             finally:
                 copies.put(copy)
 
@@ -220,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the unmutated modules, as ast.unparse writes them, fail the suite; nothing was swept")
             return 1
         survivors = []
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             for mutant, outcome in zip(todo, pool.map(run, todo)):
                 print(f"{outcome:8} {mutant}", flush=True)
                 if outcome == "survived":

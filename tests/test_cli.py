@@ -668,16 +668,14 @@ def test_graphs_over_the_class_limit_are_refused_before_the_kernel(capsys, tmp_p
     assert run(capsys, ["analyze", *SAMPLE]) == (1, "", "error: the graph has 7 twin classes, more than the limit of 4\n")
 
 
-def test_requests_over_the_reach_count_limit_are_refused_before_the_kernel(capsys, monkeypatch, sample_graph):
+def test_the_reach_count_limit_counts_distinct_levels_before_the_kernel(monkeypatch, sample_graph):
     def never(g):
         raise AssertionError("the twin classes were counted")
 
     # the sample's 12 nodes at four levels need 48 reach counts; a repeated level counts once
     monkeypatch.setattr(metrics, "MAX_REACH_COUNTS", 47)
     monkeypatch.setattr(metrics, "_TwinQuotient", never)
-    message = "error: 4 levels of 12 nodes need 48 reach counts, more than the limit of 47\n"
-    assert run(capsys, ["analyze", *SAMPLE, "--k", "1,2,3,4"]) == (1, "", message)
-    with pytest.raises(KIntegrationError, match="4 levels of 12 nodes"):
+    with pytest.raises(KIntegrationError, match="4 levels of 12 nodes need 48 reach counts"):
         metrics.build_report(sample_graph, [1, 2, 3, 4, 4])
     monkeypatch.undo()
     monkeypatch.setattr(metrics, "MAX_REACH_COUNTS", 36)

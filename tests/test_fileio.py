@@ -375,7 +375,7 @@ def test_load_graph_decides_every_line_in_one_pass(tmp_path, monkeypatch):
     communities.write_text("a A\nb A\nc B\nd B\n")
     (tmp_path / "plain.txt").write_text("a b\nb c\nc d\n")
     plain = load_graph(tmp_path / "plain.txt", communities)
-    monkeypatch.setattr(fileio, "parse_edge_list", never)
+    monkeypatch.setattr(fileio, "_edge_pairs", never)
     # the loader calls the build_graph it imported
     monkeypatch.setattr(fileio, "build_graph", never)
     monkeypatch.setattr(graph, "build_graph", never)
@@ -385,12 +385,13 @@ def test_load_graph_decides_every_line_in_one_pass(tmp_path, monkeypatch):
 
 
 # a bad input the loader's own pass meets, the error the line-numbered parsers report for it,
-# and how many steps of parse_edge_list, parse_community_map and build_graph run before it
+# and how many steps of the reference run up to it: the edge lines, the community file, and
+# build_graph reading the edge lines again
 _BAD_INPUTS = {
     "edge-line": ("a b\nb c d\n", "a A\nb A\nc B\n", ParseError, "line 2: expected 2 node tokens, got 3", 1),
     "community-line": ("a b\n", "a A\nb\n", ParseError, "line 2: expected 'node community', got 1 tokens", 2),
-    "unknown-node": ("a b\nb\tz\n", "a A\nb A\n", UnknownNodeError, "node 'z'", 3),
-    "self-loop": ("a b\nb b\n", "a A\nb A\n", SelfLoopError, "self-loop at node 'b'", 3),
+    "unknown-node": ("a b\nb\tz\n", "a A\nb A\n", UnknownNodeError, "node 'z'", 4),
+    "self-loop": ("a b\nb b\n", "a A\nb A\n", SelfLoopError, "self-loop at node 'b'", 4),
 }
 
 
@@ -413,13 +414,27 @@ def test_a_bad_input_gets_the_error_of_the_line_numbered_parsers_run_once(
 
         return wrapped
 
-    for name in ("parse_edge_list", "parse_community_map", "build_graph"):
+    def spy_pairs(fn):
+        # a generator, so a call is counted, and its error caught, when the pairs are read
+        def wrapped(text):
+            calls.append("_edge_pairs")
+            try:
+                yield from fn(text)
+            except KIntegrationError as exc:
+                raised.append(exc)
+                raise
+
+        return wrapped
+
+    for name in ("parse_community_map", "build_graph"):
         monkeypatch.setattr(fileio, name, spy(name, getattr(fileio, name)))
+    monkeypatch.setattr(fileio, "_edge_pairs", spy_pairs(fileio._edge_pairs))
     with pytest.raises(error, match=re.escape(message)) as err:
         load_graph(tmp_path / "e.txt", tmp_path / "c.txt")
     # the pass parsed the community file, then the reference ran once, up to the error it raised,
     # and that error is what the loader raised
-    assert calls == ["parse_community_map", *["parse_edge_list", "parse_community_map", "build_graph"][:steps]]
+    reference = ["_edge_pairs", "parse_community_map", "build_graph", "_edge_pairs"]
+    assert calls == ["parse_community_map", *reference[:steps]]
     assert err.value is raised[-1]
 
 
@@ -430,7 +445,7 @@ def test_a_bad_input_never_loads_even_if_the_reference_accepts_it(tmp_path, monk
     edges, communities = _BAD_INPUTS[bad][:2]
     (tmp_path / "e.txt").write_text(edges)
     (tmp_path / "c.txt").write_text(communities)
-    monkeypatch.setattr(fileio, "parse_edge_list", lambda text: [])
+    monkeypatch.setattr(fileio, "_edge_pairs", lambda text: iter(()))
     monkeypatch.setattr(fileio, "build_graph", lambda edges, communities: None)
     # the loader re-raises the error its own pass met
     with pytest.raises(own):
