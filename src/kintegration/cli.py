@@ -94,7 +94,7 @@ def _data_quality(g: graphmod.CommunityGraph) -> dict:
     isolated = [token for token, nbs in zip(g.tokens, g.adjacency) if not nbs]
     missing_count = graphmod.missing_local_pair_count(g)
     # the pair scan only runs to name witnesses when the census says some are missing
-    missing = graphmod.is_locally_complete(g, max_witnesses=10)[1] if missing_count else []
+    missing = graphmod.is_locally_complete(g)[1] if missing_count else []
     notes = []
     if isolated:
         notes.append(f"{len(isolated)} isolated node(s)")
@@ -247,7 +247,7 @@ def cmd_certify(
                 certified=rc.verdict.certified,
                 sets_examined=rc.verdict.sets_examined,
                 exhausted_size=rc.verdict.exhausted_size,
-                witness_centrals=None if witness is None else len({node for edge in witness for node in edge}),
+                witness_centrals=rc.verdict.centrals,
             )
         else:
             table = thresholds.threshold_row(r, n, k)

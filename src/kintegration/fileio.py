@@ -194,11 +194,11 @@ def _dot_quote(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_blocks(g: CommunityGraph, name: str = "network") -> Iterator[str]:
-    """DOT rendering with communities as clusters and bridges highlighted, one block at a time."""
+def dot_blocks(g: CommunityGraph) -> Iterator[str]:
+    """DOT rendering of ``graph "network"``, communities as clusters and bridges highlighted, one block at a time."""
     tokens, community_of = g.tokens, g.community_of
     quoted = [_dot_quote(token) for token in tokens]
-    yield f"graph {_dot_quote(name)} {{\n  node [shape=circle];\n"
+    yield 'graph "network" {\n  node [shape=circle];\n'
     for c, members in enumerate(g.community_members):
         nodes = "".join(f"    {quoted[u]};\n" for u in sorted(members, key=tokens.__getitem__))
         yield f"  subgraph cluster_{c} {{\n    label={_dot_quote(g.community_tokens[c])};\n{nodes}  }}\n"

@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyCommunityMapError, KIntegrationError, SelfLoopError, UnknownNodeError, require_int
+from .errors import EmptyCommunityMapError, KIntegrationError, SelfLoopError, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
@@ -226,15 +226,12 @@ def missing_local_pair_count(g: CommunityGraph) -> int:
     return sum(s * (s - 1) // 2 for s in g.community_sizes) - g.census.local_edge_count
 
 
-def is_locally_complete(
-    g: CommunityGraph, max_witnesses: int = 10
-) -> tuple[bool, list[Edge]]:
+def is_locally_complete(g: CommunityGraph) -> tuple[bool, list[Edge]]:
     """Whether every community's induced subgraph is complete.
 
-    Returns (ok, missing) where missing lists up to ``max_witnesses``
-    absent local pairs as witnesses.
+    Returns (ok, missing) where missing lists the first ten absent local
+    pairs, in community and node order, as witnesses.
     """
-    require_int("max_witnesses", max_witnesses, 1)
     missing: list[Edge] = []
     for members in g.community_members:
         for i, u in enumerate(members):
@@ -242,7 +239,7 @@ def is_locally_complete(
             for v in members[i + 1 :]:
                 if v not in adjacent:
                     missing.append((u, v))
-                    if len(missing) >= max_witnesses:
+                    if len(missing) == 10:
                         return False, missing
     return not missing, missing
 

@@ -5,7 +5,8 @@ length at most k, i.e. its diameter is at most k; the integration level
 k* is the diameter itself. Nodes with identical closed neighborhoods
 ("true twins", e.g. the interchangeable members of a complete community
 with the same bridge endpoints) are collapsed first, which keeps dense
-community graphs cheap without changing any distance.
+community graphs cheap. Twins sit at distance 1, so the collapse changes
+no answer at the levels k >= 1 that every query takes, as in the paper.
 
 All-pairs questions (k*, per-k verdicts, reach counts) are answered by
 one level-synchronous kernel: every class keeps its closed ball as an
@@ -142,26 +143,22 @@ class _TwinQuotient:
         self.class_of = class_of
         self.adjacency = adjacency
 
-    def violation(self, k: int, balls: list[int]) -> tuple[int, int | None] | None:
-        """The lowest violating class at level k and the lowest class outside its ball.
+    def violation(self, balls: list[int]) -> tuple[int, int] | None:
+        """The lowest class whose ball is not full, and the lowest class outside that ball.
 
-        Classes are ordered by min node id, so the first violating class
-        holds the lowest violating source overall. At k = 0 a class of
-        several members violates even when its ball is full.
+        ``balls`` are the class balls of one level k >= 1, where members
+        of one class sit within k. Classes are ordered by min node id, so
+        the first violating class holds the lowest violating source overall.
         """
         full = (1 << len(balls)) - 1
         for ci, ball in enumerate(balls):
             if ball != full:
                 missing = full & ~ball
                 return ci, (missing & -missing).bit_length() - 1
-            if k == 0 and len(self.classes[ci]) > 1:
-                return ci, None
         return None
 
-    def reach_counts(self, k: int, balls: list[int]) -> tuple[int, ...]:
-        """Per node, how many nodes lie within distance k (itself included)."""
-        if k == 0:
-            return (1,) * self.node_count
+    def reach_counts(self, balls: list[int]) -> tuple[int, ...]:
+        """Per node, how many nodes lie within the level k >= 1 of ``balls`` (itself included)."""
         within = list(map(int.bit_count, balls))
         for j, mask in enumerate(self.extra_masks):
             within = [count + ((ball & mask).bit_count() << j) for count, ball in zip(within, balls)]
@@ -193,7 +190,7 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
     started = time.perf_counter()
     ks = list(ks)
     for k in ks:
-        require_int("k", k, 0)
+        require_int("k", k, 1)
     wanted = set(ks)
     counts = len(wanted) * g.node_count
     if counts > MAX_REACH_COUNTS:
@@ -202,7 +199,7 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
             f"more than the limit of {MAX_REACH_COUNTS}"
         )
     q = _TwinQuotient(g)
-    violations: dict[int, tuple[int, int | None] | None] = {}
+    violations: dict[int, tuple[int, int] | None] = {}
     reach: dict[int, tuple[int, ...]] = {}
     # (source class, target class) -> the first level whose source ball holds the target
     entered: dict[tuple[int, int], int] = {}
@@ -212,15 +209,15 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
             entered[pair] = level
             pending.remove(pair)
         if level in wanted:
-            violations[level] = found = q.violation(level, balls)
-            reach[level] = q.reach_counts(level, balls)
-            if found is not None and found[1] is not None:
+            violations[level] = found = q.violation(balls)
+            reach[level] = q.reach_counts(balls)
+            if found is not None:
                 pending.add(found)
     # levels past closure see the closed balls
     for k in wanted:
         if k > level:
-            violations[k] = q.violation(k, balls)
-            reach[k] = q.reach_counts(k, balls)
+            violations[k] = q.violation(balls)
+            reach[k] = q.reach_counts(balls)
     # a connected class graph closes at its diameter, with every ball full
     full = (1 << len(balls)) - 1
     k_star = None
@@ -233,16 +230,12 @@ def build_report(g: CommunityGraph, ks: Iterable[int]) -> IntegrationReport:
             verdicts[k] = KVerdict(k)
             continue
         ci, cj = found
-        members = q.classes[ci]
         unreached = full & ~balls[ci]
         if unreached:
             target, distance = q.classes[(unreached & -unreached).bit_length() - 1][0], None
         else:
-            candidates = [] if cj is None else [(q.classes[cj][0], entered[ci, cj])]
-            if k == 0 and len(members) > 1:
-                candidates.append((members[1], 1))
-            target, distance = min(candidates)
-        verdicts[k] = KVerdict(k, (members[0], target), distance)
+            target, distance = q.classes[cj][0], entered[ci, cj]
+        verdicts[k] = KVerdict(k, (q.classes[ci][0], target), distance)
     log.info("distance kernel: %d classes, closed after %d rounds, k* %s, %d distinct witness sources, %.3f s",
              len(balls), level, k_star, len({found[0] for found in violations.values() if found is not None}),
              time.perf_counter() - started)

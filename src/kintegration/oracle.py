@@ -118,6 +118,10 @@ class OracleVerdict(NamedTuple):
         """True only when the minimum is exact."""
         return self.witness is not None
 
+    @property
+    def centrals(self) -> int | None:
+        return None if self.witness is None else _centrals(self.witness)
+
 
 class RowCheck(NamedTuple):
     """A certified search and the threshold row it is checked against, read for their agreement."""
@@ -180,20 +184,18 @@ class _Instance:
         return grown
 
     def layers(self, edges, radius: int) -> list[list[int]]:
-        """Bitsets of the nodes within i of each node, for i = 0..min(radius, node_count - 1).
+        """Bitsets of the nodes within i of each node, for i = 0..min(radius, node_count - 1) and radius >= 1.
 
         No ball grows past node_count - 1, so a wider one equals the last.
         """
         bits = self.bits
-        layers = [bits]
-        if radius:
-            balls = self.community[:]
-            for u, v in edges:
-                balls[u] |= bits[v]
-                balls[v] |= bits[u]
-            layers.append(balls)
-            for _ in range(min(radius, self.node_count - 1) - 1):
-                layers.append(self.grow(layers[-1], edges))
+        balls = self.community[:]
+        for u, v in edges:
+            balls[u] |= bits[v]
+            balls[v] |= bits[u]
+        layers = [bits, balls]
+        for _ in range(min(radius, self.node_count - 1) - 1):
+            layers.append(self.grow(layers[-1], edges))
         return layers
 
     def is_k_integrated(self, edges, k: int) -> bool:
@@ -553,8 +555,12 @@ def fits_row(row: ThresholdRow, witness, exact: bool) -> bool:
     witness's bridges and distinct ends disproves it.  Only a certified
     minimum (``exact``) must also stay within ``row.bridges.upper``.
     """
-    ends = len({node for edge in witness for node in edge})
-    return row.shortfall(len(witness), ends) is None and (not exact or len(witness) <= row.bridges.upper)
+    return row.shortfall(len(witness), _centrals(witness)) is None and (not exact or len(witness) <= row.bridges.upper)
+
+
+def _centrals(witness) -> int:
+    """The distinct ends of a bridge set: the central nodes it makes."""
+    return len({node for edge in witness for node in edge})
 
 
 def check_threshold_row(r: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> RowCheck:

@@ -606,6 +606,9 @@ def test_certify_refuses_from_r_and_n_before_building_the_sizes(capsys, monkeypa
         # 2 local edges and 2 bridges
         pytest.param(constructions, "MAX_EDGES", 4, ["generate", "--family", "two-star", "-r", "2", "-n", "2", "--out", "{tmp}"],
                      id="generate"),
+        # a complete quotient on three communities of one node: 3 quotient edges, 3 bridges
+        pytest.param(constructions, "MAX_EDGES", 3, ["generate", "--family", "extended-star", "--quotient", "complete",
+                                                     "-r", "3", "-n", "1", "--out", "{tmp}"], id="generate-complete"),
         pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 27, ["certify", "-r", "3", "-n", "3", "--k", "2"], id="certify"),
         # two communities need exactly 4 times their cross pairs in mask bits, so both caps sit at their limit
         pytest.param(cli.oracle, "MAX_CROSS_PAIRS", 4, ["certify", "-r", "2", "-n", "2", "--k", "2"], id="certify-r2"),

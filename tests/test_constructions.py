@@ -24,8 +24,9 @@ from kintegration import (
 def test_quotient_validation():
     with pytest.raises(InvalidParamsError):
         QuotientGraph(3, ((0, 0),))
-    with pytest.raises(InvalidParamsError):
-        QuotientGraph(3, ((0, 3),))
+    for out_of_range in ((0, 3), (3, 0)):
+        with pytest.raises(InvalidParamsError):
+            QuotientGraph(3, (out_of_range,))
     with pytest.raises(InvalidParamsError):
         QuotientGraph(3, ((0, 1), (1, 0)))
     for not_a_pair in ((0, 1, 2), (0,), 1, "01"):
@@ -60,8 +61,9 @@ def test_figure1_quotients():
         assert q.diameter == level - 2
     assert len(figure1_quotient(9).edges) == 7
     assert len(figure1_quotient(4).edges) == 12
-    with pytest.raises(InvalidParamsError):
-        figure1_quotient(3)
+    for k in (1, 3, 10):
+        with pytest.raises(InvalidParamsError, match=f"covers k in 4..9, got k={k}$"):
+            figure1_quotient(k)
     with pytest.raises(UnsupportedCommunityCountError):
         figure1_quotient(4, r=7)
 

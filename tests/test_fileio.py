@@ -80,15 +80,15 @@ def test_files_use_lf_endings(tmp_path, sample_graph):
 
 
 def test_dot_marks_bridges_and_clusters(sample_graph):
-    dot = "".join(fileio.dot_blocks(sample_graph, name="sample"))
-    assert dot.startswith('graph "sample" {')
+    dot = "".join(fileio.dot_blocks(sample_graph))
+    assert dot.startswith('graph "network" {\n')
     assert dot.count("subgraph cluster_") == 3
     assert '"02" -- "12" [color=red, penwidth=2.0];' in dot
     assert '"13" -- "22" [color=red, penwidth=2.0];' in dot
     assert dot.count("penwidth=2.0") == 2
     assert '"01" -- "02";' in dot
     assert 'label="c1";' in dot
-    assert dot == _dot_reference(sample_graph, name="sample")
+    assert dot == _dot_reference(sample_graph)
 
 
 def test_write_text_atomic_writes_each_chunk_in_order(tmp_path):
@@ -133,10 +133,10 @@ def test_dot_quotes_awkward_tokens():
     assert dot == _dot_reference(g)
 
 
-def _dot_reference(g, name="network"):
+def _dot_reference(g):
     """DOT text built from the graph's edge tuple, one line per edge, then joined."""
     quote = lambda token: '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    lines = [f"graph {quote(name)} {{", "  node [shape=circle];"]
+    lines = ['graph "network" {', "  node [shape=circle];"]
     for c, members in enumerate(g.community_members):
         lines.append(f"  subgraph cluster_{c} {{")
         lines.append(f"    label={quote(g.community_tokens[c])};")
@@ -205,7 +205,7 @@ def test_format_edge_list_matches_token_pair_definition(data):
         )
         assert "".join(format_edge_list(g)) == _token_pair_reference(g)
         # dot_blocks walks the same node blocks; int keys put "10" before "9", so each pair must be reordered
-        assert "".join(fileio.dot_blocks(g, name='n"et')) == _dot_reference(g, name='n"et')
+        assert "".join(fileio.dot_blocks(g)) == _dot_reference(g)
 
 
 # Loader equivalence: load_graph (one pass over each file) against the

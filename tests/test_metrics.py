@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kintegration import (
     KIntegrationError,
-    InvalidParamsError,
     build_graph,
     build_report,
     complete_join,
@@ -63,18 +62,6 @@ def test_is_k_integrated_unreachable_witness():
     assert verdict.witness_distance is None
 
 
-def test_is_k_integrated_k0():
-    single = build_graph([], {0: "a"})
-    assert is_k_integrated(single, 0).integrated
-    pair = build_graph([(0, 1)], {0: "a", 1: "a"})
-    verdict = is_k_integrated(pair, 0)
-    assert not verdict.integrated
-    assert verdict.witness == (0, 1)
-    assert verdict.witness_distance == 1
-    with pytest.raises(InvalidParamsError):
-        is_k_integrated(pair, -1)
-
-
 def _random_islands(rng):
     """Locally complete graph: members of a community not touched by a bridge are twins."""
     r, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -97,7 +84,7 @@ def test_witness_matches_naive_rule_on_random_graphs():
     graphs += [_random_islands(rng) for _ in range(40)]
     for g in graphs:
         edges = list(g.edges)
-        ks = (0, 1, 2, 3, g.node_count)
+        ks = (1, 2, 3, g.node_count)
         report = build_report(g, ks)
         assert report.k_star == naive.diameter(g.node_count, edges)
         assert [v.k for v in report.per_k] == list(ks)
@@ -134,17 +121,17 @@ def test_eccentricity_is_the_first_full_reach_count(sample_graph):
     # a node's eccentricity is the least k whose reach count is the node count
     id_of = {t: i for i, t in enumerate(sample_graph.tokens)}
     n = sample_graph.node_count
-    profile = build_report(sample_graph, range(n + 1)).reach_profile
+    profile = build_report(sample_graph, range(1, n + 1)).reach_profile
     assert min(k for k in profile if profile[k][id_of["01"]] == n) == 5
     assert min(k for k in profile if profile[k][id_of["12"]] == n) == 3
     assert profile[1][id_of["01"]] == 4 and profile[2][id_of["01"]] == 5
     # a node that cannot reach every other one never fills its count
     g = build_graph([(0, 1)], {0: "a", 1: "a", 2: "b"})
-    assert all(counts[0] < 3 for counts in build_report(g, range(4)).reach_profile.values())
+    assert all(counts[0] < 3 for counts in build_report(g, range(1, 4)).reach_profile.values())
 
 
 def test_reach_profile_matches_naive(sample_graph):
-    ks = range(sample_graph.node_count + 1)
+    ks = range(1, sample_graph.node_count + 1)
     expected = naive.reach_profile(sample_graph.node_count, list(sample_graph.edges), ks)
     assert build_report(sample_graph, ks).reach_profile == expected
 
@@ -181,7 +168,7 @@ def test_every_kernel_entry_refuses_more_classes_than_the_limit(monkeypatch):
 
 @st.composite
 def _graph_and_ks(draw):
-    """A random community graph of up to 39 nodes, and ks from 0 to node_count + 1.
+    """A random community graph of up to 39 nodes, and ks from 1 to node_count + 1.
 
     The base nodes fall into 1 to 3 components by id modulo the count,
     each a random tree plus random chords. Each base node is then blown
@@ -204,7 +191,7 @@ def _graph_and_ks(draw):
     edges += [(u, v) for a, b in base_edges for u in groups[a] for v in groups[b]]
     labels = draw(st.lists(st.integers(0, 3), min_size=node_count, max_size=node_count))
     g = build_graph(edges, dict(enumerate(labels)))
-    ks = draw(st.lists(st.integers(0, node_count + 1), min_size=1, max_size=8))
+    ks = draw(st.lists(st.integers(1, node_count + 1), min_size=1, max_size=8))
     return g, ks
 
 
@@ -222,9 +209,9 @@ def test_every_report_row_matches_the_naive_witness(case):
 
 
 def test_witness_distances_come_from_the_report_rows(sample_graph, data_dir, capsys):
-    report = build_report(sample_graph, [0, 1, 2, 3, 4, 5, 6])
-    assert [row.witness_distance for row in report.per_k] == [1, 3, 3, 5, 5, None, None]
-    assert is_k_integrated(sample_graph, 4) == report.per_k[4]
+    report = build_report(sample_graph, [1, 2, 3, 4, 5, 6])
+    assert [row.witness_distance for row in report.per_k] == [3, 3, 5, 5, None, None]
+    assert is_k_integrated(sample_graph, 4) == report.per_k[3]
     files = ["--edges", str(data_dir / "sample_edges.txt"), "--communities", str(data_dir / "sample_communities.txt")]
     assert cli.main(["analyze", *files, "--k", "1,2,3,4,5,6"]) == 0
     assert capsys.readouterr().err == ""

@@ -16,7 +16,6 @@ from kintegration import (
     extended_star,
     figure1_quotient,
     is_k_integrated,
-    is_locally_complete,
     min_bridges_for_sizes,
     min_bridges_randomized,
     pair_bridge_minimum,
@@ -55,9 +54,8 @@ _CASES = {
     "figure1_quotient.k": (figure1_quotient, lambda x: (x,), 4),
     "QuotientGraph.edges.u": (QuotientGraph, lambda x: (3, ((x, 1),)), 0),
     "QuotientGraph.edges.v": (QuotientGraph, lambda x: (3, ((1, x),)), 0),
-    "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 0),
-    "is_locally_complete.max_witnesses": (is_locally_complete, lambda x: (_G, x), 1),
-    "build_report.ks": (build_report, lambda x: (_G, [1, x]), 0),
+    "is_k_integrated.k": (is_k_integrated, lambda x: (_G, x), 1),
+    "build_report.ks": (build_report, lambda x: (_G, [1, x]), 1),
     "min_bridges_for_sizes.sizes": (min_bridges_for_sizes, lambda x: ((2, x), 2), 1),
     "min_bridges_for_sizes.k": (min_bridges_for_sizes, lambda x: ((2, 2), x), 1),
     "min_bridges_for_sizes.budget": (min_bridges_for_sizes, lambda x: ((2, 2), 2, x), 1),
