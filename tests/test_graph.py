@@ -114,6 +114,20 @@ def test_is_locally_complete_caps_witnesses():
     assert missing == list(itertools.combinations(range(6), 2))[:10]
 
 
+@pytest.mark.parametrize("sizes", [(1,), (1, 1), (2,), (2, 4), (5,), (6,), (4, 4)], ids=str)
+def test_is_locally_complete_names_the_first_ten_missing_pairs(sizes):
+    # edgeless communities of the given sizes; the cap of ten may fall inside a later community
+    communities, start = {}, 0
+    for c, size in enumerate(sizes):
+        communities.update({u: c for u in range(start, start + size)})
+        start += size
+    g = build_graph([], communities)
+    every_missing = [pair for members in g.community_members for pair in itertools.combinations(members, 2)]
+    ok, missing = is_locally_complete(g)
+    assert ok == (not every_missing)
+    assert missing == every_missing[:10]
+
+
 def test_islands_helper_is_locally_complete():
     g = islands(3, 4, [(0, 4)])
     assert is_locally_complete(g) == (True, [])

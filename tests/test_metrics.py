@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kintegration import (
     KIntegrationError,
+    InvalidParamsError,
     build_graph,
     build_report,
     complete_join,
@@ -60,6 +61,22 @@ def test_is_k_integrated_unreachable_witness():
     assert not verdict.integrated
     assert verdict.witness == (0, 2)
     assert verdict.witness_distance is None
+
+
+def test_is_k_integrated_k0():
+    # levels start at 1: k = 0 is refused by both entries, naming k
+    single = build_graph([], {0: "a"})
+    pair = build_graph([(0, 1)], {0: "a", 1: "a"})
+    for g in (single, pair):
+        for bad in (0, -1):
+            with pytest.raises(InvalidParamsError, match=f"^k must be >= 1, got {bad}$"):
+                is_k_integrated(g, bad)
+            with pytest.raises(InvalidParamsError, match=f"^k must be >= 1, got {bad}$"):
+                build_report(g, [1, bad])
+    # a twin class of two nodes at distance 1 is exact from level 1 on
+    assert is_k_integrated(single, 1).integrated
+    assert is_k_integrated(pair, 1).integrated
+    assert build_report(pair, [1, 2]).reach_profile == {1: (2, 2), 2: (2, 2)}
 
 
 def _random_islands(rng):
